@@ -1,7 +1,7 @@
 """Exact-arithmetic construction and verification of DNA cyclic codes
 over F2[u]/(u^6) and DNA skew cyclic codes over F2+vF2."""
 
-from . import cli, codons, cyclic, gf2poly, metrics, reference_tables, ring64, skew
+from . import codons, cyclic, gf2poly, metrics, reference_tables, ring64, skew
 from .codons import canonical_table, dna_complement, dna_reverse_complement
 from .cyclic import CyclicCodeR, single_generator_code
 from .gf2poly import Gf2Poly, divisors_of_xn_minus_1, factor_xn_minus_1
@@ -11,7 +11,6 @@ from .skew import SkewCode
 __version__ = "0.1.0"
 
 __all__ = [
-    "cli",
     "codons",
     "cyclic",
     "gf2poly",

@@ -18,10 +18,10 @@ import argparse
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import codons, cyclic, metrics, reference_tables, ring64, skew
-from .gf2poly import Gf2Poly, GuardExceeded, factor_xn_minus_1
+from .gf2poly import Gf2Poly, GuardExceeded, factor_xn_minus_1, split_top_level
 
 DEFAULT_GUARD = 2**20
 
@@ -99,37 +99,19 @@ class JobConfig:
 # -- parsing helpers ----------------------------------------------------------
 
 
-def _split_top_level(text: str, sep: str) -> list[str]:
-    parts = []
-    depth = 0
-    cur = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise UsageError(f"unbalanced parentheses in {text!r}")
-        if ch == sep and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if depth != 0:
-        raise UsageError(f"unbalanced parentheses in {text!r}")
-    parts.append(cur)
-    return parts
-
-
 def parse_r64_generator(text: str) -> tuple[int, Gf2Poly]:
     """Parse the shorthand u^k*(p)*(q)... into (k, p*q*...)."""
     t = text.replace(" ", "")
     if not t:
         raise UsageError("empty generator")
+    try:
+        parts = split_top_level(t, "*")
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     level = 0
     poly = Gf2Poly(1)
     saw_poly = False
-    for part in _split_top_level(t, "*"):
+    for part in parts:
         if not part:
             raise UsageError(f"empty factor in generator {text!r}")
         if part == "u":
@@ -255,6 +237,40 @@ def cmd_factor(cfg: JobConfig) -> int:
     return 0
 
 
+def _enumerate(
+    cfg: JobConfig,
+    report: Report,
+    code: cyclic.LinearCode,
+    alg_closed: bool,
+    word_str: Callable[[int, int], str],
+) -> tuple[int, ...] | None:
+    """Enumerate the code unless it is over the guard, and check the
+    enumerated rc-closure against the algebraic one; word_str renders a
+    witness."""
+    enumerable = code.size() <= cfg.guard
+    report.emit("enumerated", enumerable)
+    if not enumerable:
+        report.emit("enumeration", f"skipped, size {code.size()} over guard")
+        return None
+    words = code.words(cfg.guard)
+    report.check("enumerated_size", len(words) == code.size())
+    ext_closed, witness = cyclic.rc_closed_extensional(code, words)
+    report.check(
+        "rc_extensional_matches_algebraic",
+        ext_closed == alg_closed,
+        f"extensional {ext_closed} vs algebraic {alg_closed}",
+    )
+    if not ext_closed and witness is not None:
+        n = code.n
+        missing = code.ring.word_reverse_complement(witness, n)
+        report.emit(
+            "rc_witness",
+            f"{word_str(witness, n)} whose reverse-complement "
+            f"{word_str(missing, n)} is not in the code",
+        )
+    return words
+
+
 def _verify_r64(cfg: JobConfig, report: Report) -> None:
     code = build_r64_code(cfg)
     n = code.n
@@ -278,7 +294,7 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
     suff = cyclic.rc_sufficiency(code) if code.tower is not None else None
     alg_closed = code.rc_closed()
     report.emit("rc_closed", alg_closed)
-    report.emit("alpha_identity_member", code.contains_alpha_identity())
+    report.emit("alpha_identity_member", code.contains_complement_word())
     if suff is not None:
         report.emit("rc_sufficiency", suff.satisfied)
         if suff.failing_polys:
@@ -297,27 +313,9 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
         report.emit("subcode_u2.claim_equal", sub.equal)
         report.emit("subcode_u2.claim_inside_code", sub.claim_inside_code)
 
-    enumerable = code.size() <= cfg.guard
-    report.emit("enumerated", enumerable)
-    if not enumerable:
-        report.emit("enumeration", f"skipped, size {code.size()} over guard")
+    words = _enumerate(cfg, report, code, alg_closed, ring64.word_str)
+    if words is None:
         return
-    words = code.words(cfg.guard)
-    report.check("enumerated_size", len(words) == code.size())
-    ext_closed, witness = cyclic.rc_closed_extensional(words, n)
-    report.check(
-        "rc_extensional_matches_algebraic",
-        ext_closed == alg_closed,
-        f"extensional {ext_closed} vs algebraic {alg_closed}",
-    )
-    if not ext_closed and witness is not None:
-        missing = ring64.word_reverse_complement(witness, n)
-        report.emit(
-            "rc_witness",
-            f"{ring64.word_str(witness, n)} whose reverse-complement "
-            f"{ring64.word_str(missing, n)} is not in the code",
-        )
-
     gray = cyclic.gray_image_report(words, n)
     report.check("gray_linear", gray.linear)
     report.check("gray_shift6_closed", gray.shift_closed)
@@ -388,27 +386,9 @@ def _verify_f2v(cfg: JobConfig, report: Report) -> None:
                 skew.poly_str(g),
             )
 
-    enumerable = code.size() <= cfg.guard
-    report.emit("enumerated", enumerable)
-    if not enumerable:
-        report.emit("enumeration", f"skipped, size {code.size()} over guard")
+    words = _enumerate(cfg, report, code, rc.rc_closed, skew.word_to_dna)
+    if words is None:
         return
-    words = code.words(cfg.guard)
-    report.check("enumerated_size", len(words) == code.size())
-    ext_closed, witness = skew.rc_closed_extensional(words, n)
-    report.check(
-        "rc_extensional_matches_algebraic",
-        ext_closed == rc.rc_closed,
-        f"extensional {ext_closed} vs algebraic {rc.rc_closed}",
-    )
-    if not ext_closed and witness is not None:
-        missing = skew.word_reverse_complement(witness, n)
-        report.emit(
-            "rc_witness",
-            f"{skew.word_to_dna(witness, n)} whose reverse-complement "
-            f"{skew.word_to_dna(missing, n)} is not in the code",
-        )
-
     gray = skew.gray_image_report(words, n)
     report.check("gray_linear", gray.linear)
     report.check("gray_skew_shift2_closed", gray.skew_shift2_closed)
@@ -464,44 +444,24 @@ def cmd_table(cfg: JobConfig) -> int:
 def cmd_export(cfg: JobConfig) -> int:
     if cfg.ring == "r64":
         code = build_r64_code(cfg)
-        if code.size() > cfg.guard:
-            print(
-                f"size: {code.size()}\nerror: over the guard {cfg.guard}",
-                file=sys.stderr,
-            )
-            return 2
-        words = code.words(cfg.guard)
-        table = codons.canonical_table()
-        dna = [table.encode_word(w, code.n) for w in words]
-        rows = [
-            ",".join(
-                ring64.to_bitstring(x) for x in ring64.unpack_word(w, code.n)
-            )
-            for w in words
-        ]
+        to_dna, to_row = codons.canonical_table().encode_word, ring64.word_str
     elif cfg.ring == "f2v":
         code = build_skew_code(cfg)
-        if code.size() > cfg.guard:
-            print(
-                f"size: {code.size()}\nerror: over the guard {cfg.guard}",
-                file=sys.stderr,
-            )
-            return 2
-        words = code.words(cfg.guard)
-        dna = [skew.word_to_dna(w, code.n) for w in words]
-        rows = [
-            ",".join(
-                skew.scalar_str(c) for c in skew.unpack_word(w, code.n)
-            )
-            for w in words
-        ]
+        to_dna, to_row = skew.word_to_dna, skew.word_str
     else:
         raise UsageError(f"unknown ring {cfg.ring!r}")
-
+    if code.size() > cfg.guard:
+        print(
+            f"size: {code.size()}\nerror: over the guard {cfg.guard}",
+            file=sys.stderr,
+        )
+        return 2
+    words = code.words(cfg.guard)
+    n = code.n
     if cfg.fmt == "fasta":
-        payload = codons.fasta(dna)
+        payload = codons.fasta([to_dna(w, n) for w in words])
     elif cfg.fmt == "csv":
-        payload = "\n".join(rows) + "\n"
+        payload = "\n".join(to_row(w, n) for w in words) + "\n"
     else:
         raise UsageError(f"export format must be fasta or csv, got {cfg.fmt!r}")
     if cfg.out:

@@ -6,7 +6,8 @@ polynomials and realized as the ideal generated by the packed words of
 u^i * fi(x).  Because F2 sits inside R, every such ideal is also an
 F2-vector space of 6n-bit vectors, which is what makes membership,
 sizing and enumeration cheap: everything reduces to XOR linear algebra
-plus the torsion filtration.
+plus the torsion filtration.  That linear-code core (LinearCode) and
+its reverse-complement checks are shared with the skew cyclic codes.
 """
 
 from __future__ import annotations
@@ -120,6 +121,83 @@ class Echelon:
         return out
 
 
+class LinearCode:
+    """An F2-linear code of packed words, held as a cached echelon basis.
+
+    Both rings share the reverse-complement argument: rc(w) = reverse(w)
+    + a constant complement word, so a linear code is rc-closed iff it
+    contains that word and is closed under coordinate reversal.
+    Subclasses set ``ring`` to the module of their packed-word
+    operations (word_reverse, word_reverse_complement) and define
+    spanning_words, complement_word and generators_self_reciprocal.
+    """
+
+    n: int
+
+    def spanning_words(self) -> list[int]:
+        raise NotImplementedError
+
+    def complement_word(self) -> int:
+        raise NotImplementedError
+
+    def generators_self_reciprocal(self) -> bool:
+        raise NotImplementedError
+
+    @cached_property
+    def _echelon(self) -> Echelon:
+        return Echelon(self.spanning_words())
+
+    @property
+    def dim(self) -> int:
+        """log2 of the code size (the code is an F2-subspace)."""
+        return self._echelon.dim
+
+    def size(self) -> int:
+        return 1 << self.dim
+
+    def contains(self, word: int) -> bool:
+        return self._echelon.contains(word)
+
+    def basis(self) -> tuple[int, ...]:
+        return self._echelon.basis()
+
+    def words(self, guard: int = DEFAULT_GUARD) -> tuple[int, ...]:
+        """The full word set, sorted; raises GuardExceeded when too big."""
+        return tuple(sorted(self._echelon.span(guard)))
+
+    def contains_code(self, other: "LinearCode") -> bool:
+        return all(self.contains(b) for b in other.basis())
+
+    def same_words_as(self, other: "LinearCode") -> bool:
+        return self.dim == other.dim and self.contains_code(other)
+
+    # -- reverse-complement structure ----------------------------------------
+
+    def contains_complement_word(self) -> bool:
+        return self.contains(self.complement_word())
+
+    def reversal_closed(self) -> bool:
+        reverse, n = self.ring.word_reverse, self.n
+        return all(self.contains(reverse(b, n)) for b in self.basis())
+
+    def rc_closed(self) -> bool:
+        """Reverse-complement closure, decided without enumeration."""
+        return self.contains_complement_word() and self.reversal_closed()
+
+
+def rc_closed_extensional(
+    code: LinearCode, words: Iterable[int]
+) -> tuple[bool, int | None]:
+    """Set-level reverse-complement check of words from the code;
+    returns a violating word if any."""
+    word_set = words if isinstance(words, (set, frozenset)) else set(words)
+    rc, n = code.ring.word_reverse_complement, code.n
+    for w in word_set:
+        if rc(w, n) not in word_set:
+            return False, w
+    return True, None
+
+
 def word_to_levelmajor(w: int, n: int) -> int:
     """Regroup a packed word by u-level: level 0 in the top n bits."""
     v = 0
@@ -172,13 +250,10 @@ class TorsionProfile:
         return 1 << self.log2_size
 
 
-def alpha_identity_word(n: int) -> int:
-    """The word with every coordinate equal to the all-ones element."""
-    return ring64.full_mask(n)
-
-
-class CyclicCodeR:
+class CyclicCodeR(LinearCode):
     """An ideal of R[x]/(x^n - 1) given by generator words."""
+
+    ring = ring64
 
     def __init__(
         self,
@@ -207,8 +282,6 @@ class CyclicCodeR:
             return f"CyclicCodeR(n={self.n}, {tower_str(self.tower)})"
         return f"CyclicCodeR(n={self.n}, {len(self.generators)} generators)"
 
-    # -- linear algebra core ------------------------------------------------
-
     def spanning_words(self) -> list[int]:
         """An F2-spanning set: every shift of u^m * g for each generator.
 
@@ -229,33 +302,15 @@ class CyclicCodeR:
                 w = ring64.word_scale_u(w, n)
         return out
 
-    @cached_property
-    def _echelon(self) -> Echelon:
-        return Echelon(self.spanning_words())
+    def complement_word(self) -> int:
+        """The alpha-identity word: every coordinate the all-ones element."""
+        return ring64.full_mask(self.n)
 
-    @property
-    def dim(self) -> int:
-        """log2 of the code size (the code is an F2-subspace)."""
-        return self._echelon.dim
-
-    def size(self) -> int:
-        return 1 << self.dim
-
-    def contains(self, word: int) -> bool:
-        return self._echelon.contains(word)
-
-    def basis(self) -> tuple[int, ...]:
-        return self._echelon.basis()
-
-    def words(self, guard: int = DEFAULT_GUARD) -> tuple[int, ...]:
-        """The full word set, sorted; raises GuardExceeded when too big."""
-        return tuple(sorted(self._echelon.span(guard)))
-
-    def contains_code(self, other: "CyclicCodeR") -> bool:
-        return all(self.contains(b) for b in other.basis())
-
-    def same_words_as(self, other: "CyclicCodeR") -> bool:
-        return self.dim == other.dim and self.contains_code(other)
+    def generators_self_reciprocal(self) -> bool:
+        """Every tower polynomial is self-reciprocal."""
+        if self.tower is None:
+            raise ValueError("sufficiency test needs a tower description")
+        return all(f.is_self_reciprocal() for f in self.tower)
 
     # -- torsion ------------------------------------------------------------
 
@@ -309,37 +364,6 @@ class CyclicCodeR:
                 total += self.n - deg
         return 1 << total
 
-    # -- reverse-complement structure ----------------------------------------
-
-    def contains_alpha_identity(self) -> bool:
-        return self.contains(alpha_identity_word(self.n))
-
-    def reversal_closed(self) -> bool:
-        n = self.n
-        return all(
-            self.contains(ring64.word_reverse(b, n)) for b in self.basis()
-        )
-
-    def rc_closed(self) -> bool:
-        """Reverse-complement closure, decided without enumeration.
-
-        rc(w) = reverse(w) + alpha-identity, so a linear code is
-        rc-closed iff it contains the alpha-identity word and is closed
-        under coordinate reversal.
-        """
-        return self.contains_alpha_identity() and self.reversal_closed()
-
-
-def rc_closed_extensional(
-    words: Iterable[int], n: int
-) -> tuple[bool, int | None]:
-    """Set-level reverse-complement check; returns a violating word if any."""
-    word_set = words if isinstance(words, (set, frozenset)) else set(words)
-    for w in word_set:
-        if ring64.word_reverse_complement(w, n) not in word_set:
-            return False, w
-    return True, None
-
 
 @dataclass(frozen=True)
 class RcSufficiency:
@@ -365,7 +389,7 @@ def rc_sufficiency(code: CyclicCodeR) -> RcSufficiency:
     return RcSufficiency(
         all_self_reciprocal=not failing,
         failing_polys=failing,
-        alpha_identity_member=code.contains_alpha_identity(),
+        alpha_identity_member=code.contains_complement_word(),
     )
 
 
@@ -527,7 +551,7 @@ def classify_dna_code(
 ) -> DnaClassification:
     n = code.n
     words = code.words(guard)
-    closed, witness = rc_closed_extensional(words, n)
+    closed, witness = rc_closed_extensional(code, words)
     fixed = tuple(
         w for w in words if ring64.word_reverse_complement(w, n) == w
     )
@@ -634,8 +658,9 @@ def edit_bound_check(
 
 
 @dataclass
-class CampaignResult:
-    towers_checked: int = 0
+class RcTally:
+    """What an rc theorem campaign found, summed over its codes."""
+
     codes_enumerated: int = 0
     skipped_over_guard: int = 0
     violations: list[str] = field(default_factory=list)
@@ -644,50 +669,49 @@ class CampaignResult:
     def clean(self) -> bool:
         return not self.violations
 
+    def check_code(self, code: LinearCode, label: str, guard: int) -> None:
+        """One theorem instance.  The sufficient condition (complement
+        word plus self-reciprocal generators) must imply closure,
+        closure must imply it back (necessity), and the closure decided
+        algebraically must agree with the enumerated check.  Codes above
+        the guard still get the algebraic implications."""
+        suff = (
+            code.contains_complement_word()
+            and code.generators_self_reciprocal()
+        )
+        alg_closed = code.rc_closed()
+        if suff and not alg_closed:
+            self.violations.append(f"{label}: sufficiency but not closed")
+        if alg_closed and not suff:
+            self.violations.append(f"{label}: closed but necessity fails")
+        if code.size() > guard:
+            self.skipped_over_guard += 1
+            return
+        self.codes_enumerated += 1
+        ext_closed, witness = rc_closed_extensional(code, code.words(guard))
+        if ext_closed != alg_closed:
+            self.violations.append(
+                f"{label}: algebraic closure {alg_closed} but "
+                f"enumeration says {ext_closed} (witness {witness})"
+            )
+
+
+@dataclass
+class CampaignResult(RcTally):
+    towers_checked: int = 0
+
 
 def rc_theorem_campaign(
     lengths: Sequence[int] = (3, 5, 7),
     guard: int = 2**16,
 ) -> CampaignResult:
-    """Exhaustive consistency drive over every admissible odd tower.
-
-    For each code: the sufficient condition must imply extensional
-    rc-closure, extensional rc-closure must imply both necessary
-    conditions, and the closure decided algebraically must agree with
-    the enumerated check.  Codes above the guard still get the
-    algebraic implications.
-    """
+    """Exhaustive consistency drive over every admissible odd tower."""
     result = CampaignResult()
     for n in lengths:
         for polys in iter_admissible_towers(n):
             result.towers_checked += 1
             code = CyclicCodeR.from_tower(n, polys)
-            label = f"n={n}, {tower_str(polys)}"
-            suff = rc_sufficiency(code)
-            alg_closed = code.rc_closed()
-            if suff.satisfied and not alg_closed:
-                result.violations.append(f"{label}: sufficiency but not closed")
-            if alg_closed:
-                nec = necessity_report(code, rc_closed=True)
-                if not nec.holds:
-                    result.violations.append(
-                        f"{label}: closed but necessity fails"
-                    )
-            if code.size() > guard:
-                result.skipped_over_guard += 1
-                continue
-            result.codes_enumerated += 1
-            words = code.words(guard)
-            ext_closed, witness = rc_closed_extensional(words, n)
-            if ext_closed != alg_closed:
-                result.violations.append(
-                    f"{label}: algebraic closure {alg_closed} but "
-                    f"enumeration says {ext_closed} (witness {witness})"
-                )
-            if suff.satisfied and not ext_closed:
-                result.violations.append(
-                    f"{label}: sufficiency but enumeration not closed"
-                )
+            result.check_code(code, f"n={n}, {tower_str(polys)}", guard)
     return result
 
 
@@ -702,9 +726,9 @@ __all__ = [
     "levelmajor_to_word",
     "TorsionLevel",
     "TorsionProfile",
-    "alpha_identity_word",
-    "CyclicCodeR",
+    "LinearCode",
     "rc_closed_extensional",
+    "CyclicCodeR",
     "RcSufficiency",
     "rc_sufficiency",
     "NecessityReport",
@@ -722,6 +746,7 @@ __all__ = [
     "gray_image_report",
     "EditBoundCheck",
     "edit_bound_check",
+    "RcTally",
     "CampaignResult",
     "rc_theorem_campaign",
 ]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce
-from typing import Iterator
 
 
 class GuardExceeded(ValueError):
@@ -379,42 +378,28 @@ def two_power_condition(m: int) -> bool:
     return False
 
 
-def iter_divisor_towers(
-    n: int, slots: int = 6
-) -> Iterator[tuple[Gf2Poly, ...]]:
-    """Yield every chain f[slots-1] | ... | f[0] | x^n - 1 (odd n only).
-
-    Chains are encoded by giving each irreducible factor a level c in
-    0..slots: the factor divides f[i] exactly for i < c.  A slot whose
-    polynomial is x^n - 1 itself contributes nothing to the code.
-    """
-    if n % 2 == 0:
-        raise ValueError("divisor towers are canonical only for odd n")
-    factors = [f for f, _ in factor_xn_minus_1(n)]
-    whole = x_pow_n_minus_1(n)
-
-    def build(levels: tuple[int, ...]) -> tuple[Gf2Poly, ...]:
-        tower = []
-        for i in range(slots):
-            g = ONE
-            for f, c in zip(factors, levels):
-                if c > i:
-                    g = g * f
-            tower.append(g)
-        return tuple(tower)
-
-    def rec(idx: int, levels: tuple[int, ...]) -> Iterator[tuple[Gf2Poly, ...]]:
-        if idx == len(factors):
-            yield build(levels)
-            return
-        for c in range(slots + 1):
-            yield from rec(idx + 1, levels + (c,))
-
-    for tower in rec(0, ()):
-        # a level of `slots` on every factor would make f[i] = x^n - 1 for
-        # all i, i.e. the zero code; that degenerate tower is still yielded
-        # (its slot polynomials equal x^n - 1) so callers see the full lattice
-        yield tower
+def split_top_level(text: str, sep: str) -> list[str]:
+    """Split text at every sep outside parentheses, after dropping
+    spaces; unbalanced parentheses are reported against text as given."""
+    parts = []
+    depth = 0
+    cur = ""
+    for ch in text.replace(" ", ""):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ValueError(f"unbalanced parentheses in {text!r}")
+        if ch == sep and depth == 0:
+            parts.append(cur)
+            cur = ""
+        else:
+            cur += ch
+    if depth != 0:
+        raise ValueError(f"unbalanced parentheses in {text!r}")
+    parts.append(cur)
+    return parts
 
 
 __all__ = [
@@ -428,5 +413,5 @@ __all__ = [
     "factor_xn_minus_1",
     "divisors_of_xn_minus_1",
     "two_power_condition",
-    "iter_divisor_towers",
+    "split_top_level",
 ]

@@ -176,45 +176,6 @@ def min_nonzero_lee_weight(words: Iterable[int], n: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class EditBoundReport:
-    """How a DNA code's edit distance sits against its bounds.
-
-    The reference bounds for a length-n code of rank k over the codon
-    alphabet: edit <= hamming on equal-length words, and the
-    singleton-style cap edit <= n - k + 1.
-    """
-
-    n: int
-    rank: int
-    min_edit: float
-    min_hamming: int
-    edit_le_hamming: bool
-    edit_le_singleton: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return self.edit_le_hamming and self.edit_le_singleton
-
-
-def edit_bound_report(
-    words: Sequence[Sequence[Hashable]],
-    n: int,
-    rank: int,
-    costs: EditCostTable | None = None,
-) -> EditBoundReport:
-    med = min_pairwise(words, lambda a, b: edit_distance(a, b, costs))
-    mhd = min_pairwise(words, hamming_distance)
-    return EditBoundReport(
-        n=n,
-        rank=rank,
-        min_edit=med.minimum,
-        min_hamming=mhd.minimum,
-        edit_le_hamming=med.minimum <= mhd.minimum,
-        edit_le_singleton=med.minimum <= n - rank + 1,
-    )
-
-
 __all__ = [
     "GAP",
     "EditCostTable",
@@ -224,6 +185,4 @@ __all__ = [
     "min_pairwise",
     "min_nonzero_hamming_weight",
     "min_nonzero_lee_weight",
-    "EditBoundReport",
-    "edit_bound_report",
 ]

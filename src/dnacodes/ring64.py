@@ -43,13 +43,26 @@ def add(x: int, y: int) -> int:
     return x ^ y
 
 
+def _mul_table() -> tuple[tuple[int, ...], ...]:
+    # the product is bilinear over F2: row x is the XOR of row (x minus
+    # its lowest bit) and row (that bit), and row u^i is a masked shift
+    rows = [(0,) * SIZE]
+    for x in range(1, SIZE):
+        low = x & -x
+        if x == low:
+            shift = low.bit_length() - 1
+            rows.append(tuple((y << shift) & MASK for y in range(SIZE)))
+        else:
+            rows.append(tuple(a ^ b for a, b in zip(rows[x ^ low], rows[low])))
+    return tuple(rows)
+
+
+_MUL = _mul_table()
+
+
 def mul(x: int, y: int) -> int:
-    """Carry-free product truncated at u^6 = 0."""
-    r = 0
-    for i in range(6):
-        if (x >> i) & 1:
-            r ^= (y << i) & MASK
-    return r
+    """Carry-free product truncated at u^6 = 0, by table lookup."""
+    return _MUL[x][y]
 
 
 def complement(x: int) -> int:

@@ -11,13 +11,14 @@ masks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from . import codons
-from .cyclic import Echelon
-from .gf2poly import Gf2Poly, GuardExceeded, divisors_of_xn_minus_1
+from .cyclic import Echelon, LinearCode, RcTally
+from .gf2poly import Gf2Poly, divisors_of_xn_minus_1, split_top_level
 
 # -- scalars -------------------------------------------------------------
 
@@ -169,29 +170,10 @@ def poly_str(p: Sequence[int]) -> str:
 
 
 def parse_skew_poly(text: str) -> tuple[int, ...]:
-    t = text.replace(" ", "")
-    if not t:
+    if not text.replace(" ", ""):
         raise ValueError("empty polynomial")
-    terms = []
-    depth = 0
-    cur = ""
-    for ch in t:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-        if ch == "+" and depth == 0:
-            terms.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    terms.append(cur)
     coeffs: list[int] = []
-    for term in terms:
+    for term in split_top_level(text, "+"):
         if not term:
             raise ValueError(f"empty term in {text!r}")
         if "*" in term:
@@ -304,6 +286,10 @@ def word_reverse_complement(w: int, n: int) -> int:
     return word_complement(word_reverse(w, n), n)
 
 
+def word_str(w: int, n: int) -> str:
+    return ",".join(_SCALAR_STR[c] for c in unpack_word(w, n))
+
+
 def word_from_poly(p: Sequence[int], n: int) -> int:
     """Residue of a skew polynomial mod x^n - 1, as a packed word."""
     w = 0
@@ -381,8 +367,6 @@ def gray_image_report(words: Iterable[int], n: int) -> SkewGrayReport:
 
 # -- codes -------------------------------------------------------------------
 
-DEFAULT_GUARD = 2**20
-
 
 class SkewCodeError(ValueError):
     pass
@@ -404,7 +388,7 @@ def _binary_part(f: Sequence[int], unit: int) -> Gf2Poly:
     return Gf2Poly(value)
 
 
-class SkewCode:
+class SkewCode(LinearCode):
     """A skew cyclic code of even length, from one or two generators.
 
     Case 1: a single monic right divisor g of x^n - 1.
@@ -412,6 +396,8 @@ class SkewCode:
     f1 dividing x^n - 1.
     Case 2: one generator of each shape.
     """
+
+    ring = sys.modules[__name__]  # the word operations of this module
 
     def __init__(self, n: int, case: int, generators: Sequence[Sequence[int]]):
         if n < 2 or n % 2 == 1:
@@ -492,56 +478,11 @@ class SkewCode:
                     s = skew_shift(s, n)
         return out
 
-    @property
-    def _echelon(self) -> Echelon:
-        ech = getattr(self, "_ech_cache", None)
-        if ech is None:
-            ech = Echelon(self.spanning_words())
-            self._ech_cache = ech
-        return ech
-
-    @property
-    def dim(self) -> int:
-        return self._echelon.dim
-
-    def size(self) -> int:
-        return 1 << self.dim
-
-    def contains(self, word: int) -> bool:
-        return self._echelon.contains(word)
-
-    def basis(self) -> tuple[int, ...]:
-        return self._echelon.basis()
-
-    def words(self, guard: int = DEFAULT_GUARD) -> tuple[int, ...]:
-        return tuple(sorted(self._echelon.span(guard)))
-
-    # -- reverse-complement structure ------------------------------------
-
-    def contains_v_identity(self) -> bool:
-        return self.contains(v_identity_word(self.n))
-
-    def reversal_closed(self) -> bool:
-        n = self.n
-        return all(self.contains(word_reverse(b, n)) for b in self.basis())
-
-    def rc_closed(self) -> bool:
-        """rc(w) = reverse(w) + v-identity, so closure is equivalent to
-        v-identity membership plus reversal closure."""
-        return self.contains_v_identity() and self.reversal_closed()
+    def complement_word(self) -> int:
+        return v_identity_word(self.n)
 
     def generators_self_reciprocal(self) -> bool:
         return all(is_self_reciprocal(g) for g in self.generators)
-
-
-def rc_closed_extensional(
-    words: Iterable[int], n: int
-) -> tuple[bool, int | None]:
-    word_set = words if isinstance(words, (set, frozenset)) else set(words)
-    for w in word_set:
-        if word_reverse_complement(w, n) not in word_set:
-            return False, w
-    return True, None
 
 
 @dataclass(frozen=True)
@@ -559,7 +500,7 @@ class SkewRcReport:
 
 
 def rc_report(code: SkewCode) -> SkewRcReport:
-    v_member = code.contains_v_identity()
+    v_member = code.contains_complement_word()
     self_rec = code.generators_self_reciprocal()
     closed = code.rc_closed()
     suff = v_member and self_rec
@@ -569,7 +510,7 @@ def rc_report(code: SkewCode) -> SkewRcReport:
         rc_closed=closed,
         sufficiency_satisfied=suff,
         sufficiency_implies_closure=(not suff) or closed,
-        closure_implies_necessity=(not closed) or (v_member and self_rec),
+        closure_implies_necessity=(not closed) or suff,
     )
 
 
@@ -622,16 +563,16 @@ def iter_case3_codes(n: int) -> Iterator[SkewCode]:
             yield SkewCode.from_case3(n, f)
 
 
-@dataclass
-class SkewCampaignResult:
-    codes_checked: int = 0
-    codes_enumerated: int = 0
-    skipped_over_guard: int = 0
-    violations: list[str] = field(default_factory=list)
+def all_codes(n: int) -> list[SkewCode]:
+    """Every case-1 and case-3 code of length n."""
+    codes = [SkewCode.from_case1(n, g) for g in monic_right_divisors(n)]
+    codes.extend(iter_case3_codes(n))
+    return codes
 
-    @property
-    def clean(self) -> bool:
-        return not self.violations
+
+@dataclass
+class SkewCampaignResult(RcTally):
+    codes_checked: int = 0
 
 
 def rc_campaign(
@@ -643,29 +584,9 @@ def rc_campaign(
     cross-check whenever the code is small enough to enumerate."""
     result = SkewCampaignResult()
     for n in lengths:
-        codes: list[SkewCode] = [
-            SkewCode.from_case1(n, g) for g in monic_right_divisors(n)
-        ]
-        codes.extend(iter_case3_codes(n))
-        for code in codes:
+        for code in all_codes(n):
             result.codes_checked += 1
-            label = f"n={n}, {code.label()}"
-            report = rc_report(code)
-            if not report.sufficiency_implies_closure:
-                result.violations.append(f"{label}: sufficiency but not closed")
-            if not report.closure_implies_necessity:
-                result.violations.append(f"{label}: closed but necessity fails")
-            if code.size() > guard:
-                result.skipped_over_guard += 1
-                continue
-            result.codes_enumerated += 1
-            words = code.words(guard)
-            ext_closed, witness = rc_closed_extensional(words, n)
-            if ext_closed != report.rc_closed:
-                result.violations.append(
-                    f"{label}: algebraic closure {report.rc_closed} but "
-                    f"enumeration says {ext_closed} (witness {witness})"
-                )
+            result.check_code(code, f"n={n}, {code.label()}", guard)
     return result
 
 
@@ -688,10 +609,7 @@ def search_codes_containing(strings: Sequence[str], n: int) -> SearchResult:
     for s in strings:
         if len(s) != n:
             raise ValueError(f"string {s!r} is not of length {n}")
-    codes: list[SkewCode] = [
-        SkewCode.from_case1(n, g) for g in monic_right_divisors(n)
-    ]
-    codes.extend(iter_case3_codes(n))
+    codes = all_codes(n)
     matches = []
     best_overlap = -1
     best_label = ""
@@ -743,6 +661,7 @@ __all__ = [
     "word_hamming_weight",
     "word_complement",
     "word_reverse_complement",
+    "word_str",
     "word_from_poly",
     "word_to_dna",
     "dna_to_word",
@@ -753,13 +672,13 @@ __all__ = [
     "gray_image_report",
     "SkewCodeError",
     "SkewCode",
-    "rc_closed_extensional",
     "SkewRcReport",
     "rc_report",
     "monic_right_divisor_candidates",
     "monic_right_divisors",
     "two_sided_factorization_holds",
     "iter_case3_codes",
+    "all_codes",
     "SkewCampaignResult",
     "rc_campaign",
     "SearchResult",

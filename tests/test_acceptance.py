@@ -103,7 +103,7 @@ def test_criterion_2_rc_closure(capsys):
         "no all-alpha word, codon edit distance 2 not 6",
     )
     code = table3_code()
-    closed, _ = cyclic.rc_closed_extensional(code.words(2**16), code.n)
+    closed, _ = cyclic.rc_closed_extensional(code, code.words(2**16))
     assert closed
 
 
@@ -112,7 +112,7 @@ def test_criterion_2_rc_closure(capsys):
     reason="alpha*I(x) is not a codeword of <u^4 f0 f1>: (x+1) divides f0",
 )
 def test_criterion_2_alpha_word_membership():
-    assert table3_code().contains_alpha_identity()
+    assert table3_code().contains_complement_word()
 
 
 @pytest.mark.xfail(

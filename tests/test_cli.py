@@ -1,5 +1,10 @@
 """End-to-end command line coverage via cli.main(argv)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dnacodes import cli, skew
@@ -10,6 +15,51 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+EXPECTED = Path(__file__).parent / "expected"
+
+
+@pytest.mark.parametrize(
+    "name, exit_code, argv",
+    [
+        ("r64_n7_rc_witness", 0,
+         ["build-verify", "--ring", "r64", "-n", "7",
+          "--gen", "u^4*(x+1)*(x^3+x+1)"]),
+        ("f2v_n8_theorem_failure", 1,
+         ["build-verify", "--ring", "f2v", "-n", "8",
+          "--gen", "x^4+v*x^3+v*x+1", "--metric", "hamming"]),
+        ("r64_n7_over_guard", 0,
+         ["build-verify", "--ring", "r64", "-n", "7",
+          "--gen", "u*(x^3+x+1)", "--guard", "1000"]),
+        ("export_csv_r64", 0,
+         ["export", "--ring", "r64", "-n", "7",
+          "--gen", "u^4*(x^6+x^5+x^4+x^3+x^2+x+1)", "--format", "csv"]),
+        ("export_csv_f2v", 0,
+         ["export", "--ring", "f2v", "-n", "4", "--gen", "x^2+1",
+          "--format", "csv"]),
+    ],
+)
+def test_report_text_is_pinned(capsys, name, exit_code, argv):
+    # the whole stdout, line order included, against a stored copy
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert out == (EXPECTED / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("module", ["dnacodes", "dnacodes.cli"])
+def test_python_dash_m_runs_without_warnings(module):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", module, "factor", "-n", "7"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "n: 7"
+    assert proc.stdout.splitlines()[-1] == "product: (x+1)(x^3+x+1)(x^3+x^2+1)"
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_factor_n7(capsys):

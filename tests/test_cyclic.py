@@ -99,7 +99,7 @@ def test_table3_code_frozen_facts():
     assert prof.rank == 3
     assert code.rank() == 3
     assert code.size_formula_odd() == 64
-    assert not code.contains_alpha_identity()
+    assert not code.contains_complement_word()
     assert not code.rc_closed()
 
 
@@ -139,12 +139,12 @@ def test_admissible_tower_counts():
 def test_rc_closed_code_and_sufficiency():
     f = Gf2Poly.from_string("x^2+x+1")  # self-reciprocal, x+1 does not divide
     code = CyclicCodeR.from_tower(3, [f] * 6)
-    assert code.contains_alpha_identity()
+    assert code.contains_complement_word()
     assert code.rc_closed()
     suff = cyclic.rc_sufficiency(code)
     assert suff.satisfied
     assert suff.failing_polys == ()
-    ext_closed, witness = cyclic.rc_closed_extensional(code.words(2**16), 3)
+    ext_closed, witness = cyclic.rc_closed_extensional(code, code.words(2**16))
     assert ext_closed and witness is None
     nec = cyclic.necessity_report(code)
     assert nec.applicable and nec.holds
@@ -153,7 +153,7 @@ def test_rc_closed_code_and_sufficiency():
 def test_not_rc_closed_reports_witness():
     code = table3_code()
     words = code.words(2**16)
-    ext_closed, witness = cyclic.rc_closed_extensional(words, 7)
+    ext_closed, witness = cyclic.rc_closed_extensional(code, words)
     assert not ext_closed
     assert witness in words
     assert ring64.word_reverse_complement(witness, 7) not in set(words)
@@ -173,7 +173,7 @@ def test_alpha_identity_membership_rule_odd_length():
     for polys in rng.sample(towers, 30):
         code = CyclicCodeR.from_tower(7, polys)
         expect = not F0.divides(polys[0])
-        assert code.contains_alpha_identity() == expect
+        assert code.contains_complement_word() == expect
 
 
 def test_subcode_u2_frozen_counterexamples():

@@ -37,6 +37,16 @@ def test_multiplicative_structure_exhaustive():
                 )
 
 
+def test_mul_table_matches_shift_and_xor_product():
+    for a in ALL:
+        for b in ALL:
+            ref = 0
+            for i in range(6):
+                if (a >> i) & 1:
+                    ref ^= (b << i) & ring64.MASK
+            assert ring64.mul(a, b) == ref
+
+
 def test_u_is_nilpotent_of_index_six():
     p = 1
     for k in range(1, 6):

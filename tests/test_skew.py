@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dnacodes import skew
+from dnacodes import cyclic, skew
 from dnacodes.gf2poly import Gf2Poly
 from dnacodes.skew import ONE, V, V1, ZERO, SkewCode, SkewCodeError
 from helpers import closure_skew_words
@@ -341,15 +341,15 @@ def test_length_eight_counterexamples_in_detail():
     for g in open_suff:
         code = SkewCode.from_case1(8, g)
         assert skew.is_self_reciprocal(g)
-        assert code.contains_v_identity()
-        closed, witness = skew.rc_closed_extensional(code.words(2**16), 8)
+        assert code.contains_complement_word()
+        closed, witness = cyclic.rc_closed_extensional(code, code.words(2**16))
         assert not closed
         assert witness is not None
     closed_no_necessity = [(ONE, V, ONE, V1, ONE), (ONE, V1, ONE, V, ONE)]
     for g in closed_no_necessity:
         code = SkewCode.from_case1(8, g)
         assert not skew.is_self_reciprocal(g)
-        closed, _ = skew.rc_closed_extensional(code.words(2**16), 8)
+        closed, _ = cyclic.rc_closed_extensional(code, code.words(2**16))
         assert closed
 
 
