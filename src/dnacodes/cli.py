@@ -24,6 +24,8 @@ from . import codons, cyclic, metrics, reference_tables, ring64, skew
 from .gf2poly import Gf2Poly, GuardExceeded, factor_xn_minus_1, split_top_level
 
 DEFAULT_GUARD = 2**20
+# above this many words --metric all skips the quadratic edit scan
+EDIT_SCAN_MAX_WORDS = 1024
 
 
 class UsageError(ValueError):
@@ -31,6 +33,12 @@ class UsageError(ValueError):
 
 
 # -- configuration -----------------------------------------------------------
+
+METRICS = ("hamming", "lee", "edit", "all")
+LEVELS = ("codon", "nucleotide")
+_CONFIG_TYPES = {"n": int, "case": int, "which": int, "guard": int, "dna_d": float}
+# keys whose values nothing past parsing checks
+_CONFIG_CHOICES = {"metric": METRICS, "level": LEVELS}
 
 
 @dataclass
@@ -65,7 +73,7 @@ class JobConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "JobConfig":
-        known = {f.name: f for f in fields(cls)}
+        known = {f.name for f in fields(cls)}
         kwargs: dict = {}
         gens: list[str] = []
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -82,15 +90,14 @@ class JobConfig:
                 continue
             if key not in known:
                 raise UsageError(f"config line {lineno}: unknown key {key!r}")
-            f = known[key]
-            if key in ("n", "case", "which", "guard"):
-                kwargs[key] = int(value)
-            elif key == "dna_d":
-                kwargs[key] = float(value)
-            elif key == "gens":
+            if key == "gens":
                 raise UsageError("use repeated 'gen =' lines")
-            else:
-                kwargs[key] = value
+            try:
+                kwargs[key] = _CONFIG_TYPES.get(key, str)(value)
+            except ValueError as e:
+                raise UsageError(str(e)) from None
+            if key in _CONFIG_CHOICES and value not in _CONFIG_CHOICES[key]:
+                raise UsageError(f"unknown {key}: {value}")
         if gens:
             kwargs["gens"] = tuple(gens)
         return cls(**kwargs)
@@ -157,6 +164,8 @@ def build_r64_code(cfg: JobConfig) -> cyclic.CyclicCodeR:
         if len(cfg.gens) != 1:
             raise UsageError("r64 codes take exactly one --gen (or a --tower)")
         level, f = parse_r64_generator(cfg.gens[0])
+        if cfg.n < 1:
+            raise UsageError("need n >= 1")
         return cyclic.single_generator_code(cfg.n, level, f)
     except cyclic.TowerError as e:
         raise UsageError(str(e)) from None
@@ -192,6 +201,8 @@ def load_costs(cfg: JobConfig) -> metrics.EditCostTable | None:
         return metrics.EditCostTable.from_csv(Path(cfg.costs).read_text())
     except OSError as e:
         raise UsageError(f"cannot read cost table: {e}") from None
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -271,49 +282,69 @@ def _enumerate(
     return words
 
 
+def _min_edit(
+    cfg: JobConfig,
+    report: Report,
+    words: Sequence[int],
+    n: int,
+    level: str,
+    to_symbols: Callable[[int, int], Sequence],
+) -> None:
+    """The all-pairs minimum edit distance over the words' symbol
+    strings; under --metric all it is skipped above EDIT_SCAN_MAX_WORDS
+    words (--metric edit forces it)."""
+    if cfg.metric == "all" and len(words) > EDIT_SCAN_MAX_WORDS:
+        report.emit(
+            "min_edit",
+            f"skipped for {len(words)} words; pass --metric edit to force",
+        )
+        return
+    costs = load_costs(cfg)
+    lo = metrics.min_pairwise(
+        [to_symbols(w, n) for w in words],
+        lambda a, b: metrics.edit_distance(a, b, costs),
+    )
+    report.emit(f"min_edit_{level}", lo.minimum)
+
+
 def _verify_r64(cfg: JobConfig, report: Report) -> None:
     code = build_r64_code(cfg)
     n = code.n
     report.emit("ring", "r64")
     report.emit("n", n)
-    if code.tower is not None:
-        report.emit("tower", cyclic.tower_str(code.tower))
+    report.emit("tower", cyclic.tower_str(code.tower))
     profile = code.torsion_profile
     report.emit("log2_size", code.dim)
     report.emit("size", code.size())
     report.emit("rank", profile.rank)
     for lv in profile.levels:
         report.emit(f"torsion.{lv.level}", f"gen={lv.generator} dim={lv.dim}")
-    if n % 2 == 1 and code.tower is not None:
+    if n % 2 == 1:
         report.check(
             "size_formula",
             code.size_formula_odd() == code.size(),
             f"formula {code.size_formula_odd()} vs enumerated {code.size()}",
         )
 
-    suff = cyclic.rc_sufficiency(code) if code.tower is not None else None
-    alg_closed = code.rc_closed()
-    report.emit("rc_closed", alg_closed)
-    report.emit("alpha_identity_member", code.contains_complement_word())
-    if suff is not None:
-        report.emit("rc_sufficiency", suff.satisfied)
-        if suff.failing_polys:
-            report.emit("not_self_reciprocal", "; ".join(suff.failing_polys))
-        report.check(
-            "sufficiency_implies_closure",
-            (not suff.satisfied) or alg_closed,
-        )
-        nec = cyclic.necessity_report(code, rc_closed=alg_closed)
-        report.check("closure_implies_necessity", nec.holds)
+    rc = cyclic.rc_report(code)
+    report.emit("rc_closed", rc.rc_closed)
+    report.emit("alpha_identity_member", rc.complement_word_member)
+    report.emit("rc_sufficiency", rc.sufficiency_satisfied)
+    if not rc.generators_self_reciprocal:
+        report.emit("not_self_reciprocal", "; ".join(
+            f"f{i}={f}" for i, f in enumerate(code.tower)
+            if not f.is_self_reciprocal()
+        ))
+    report.check("sufficiency_implies_closure", rc.sufficiency_implies_closure)
+    report.check("closure_implies_necessity", rc.closure_implies_necessity)
 
-    if code.tower is not None:
-        sub = cyclic.subcode_u2_report(code)
-        report.emit("subcode_u2.log2_size", sub.subcode_log2_size)
-        report.emit("subcode_u2.single_generator_claim_log2", sub.claim_log2_size)
-        report.emit("subcode_u2.claim_equal", sub.equal)
-        report.emit("subcode_u2.claim_inside_code", sub.claim_inside_code)
+    sub = cyclic.subcode_u2_report(code)
+    report.emit("subcode_u2.log2_size", sub.subcode_log2_size)
+    report.emit("subcode_u2.single_generator_claim_log2", sub.claim_log2_size)
+    report.emit("subcode_u2.claim_equal", sub.equal)
+    report.emit("subcode_u2.claim_inside_code", sub.claim_inside_code)
 
-    words = _enumerate(cfg, report, code, alg_closed, ring64.word_str)
+    words = _enumerate(cfg, report, code, rc.rc_closed, ring64.word_str)
     if words is None:
         return
     gray = cyclic.gray_image_report(words, n)
@@ -327,23 +358,12 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
             )
         if cfg.metric in ("lee", "all"):
             report.emit("min_lee", metrics.min_nonzero_lee_weight(words, n))
-        if cfg.metric == "edit" or (cfg.metric == "all" and len(words) <= 1024):
-            costs = load_costs(cfg)
-            table = codons.canonical_table()
+        if cfg.metric in ("edit", "all"):
             if cfg.level == "nucleotide":
-                symbols = [table.encode_word(w, n) for w in words]
+                to_symbols = codons.canonical_table().encode_word
             else:
-                symbols = [cyclic.codon_symbols(w, n) for w in words]
-            lo = metrics.min_pairwise(
-                symbols, lambda a, b: metrics.edit_distance(a, b, costs)
-            )
-            report.emit(f"min_edit_{cfg.level}", lo.minimum)
-        elif cfg.metric == "all":
-            report.emit(
-                "min_edit",
-                f"skipped for {len(words)} words; pass --metric edit to force",
-            )
-        if cfg.metric in ("edit", "all") and code.tower is not None:
+                to_symbols = cyclic.codon_symbols
+            _min_edit(cfg, report, words, n, cfg.level, to_symbols)
             bound = cyclic.edit_bound_check(code, cfg.guard)
             report.check(
                 "edit_bounds",
@@ -352,6 +372,8 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
                 f"{bound.bound_min_degree}, singleton {bound.bound_singleton}",
             )
     if cfg.dna_d is not None:
+        if len(words) < 2:
+            raise UsageError("need at least two items")
         cls = cyclic.classify_dna_code(
             code, cfg.dna_d, cfg.guard, cfg.level, load_costs(cfg)
         )
@@ -371,9 +393,9 @@ def _verify_f2v(cfg: JobConfig, report: Report) -> None:
     report.emit("log2_size", code.dim)
     report.emit("size", code.size())
 
-    rc = skew.rc_report(code)
+    rc = cyclic.rc_report(code)
     report.emit("rc_closed", rc.rc_closed)
-    report.emit("v_identity_member", rc.v_identity_member)
+    report.emit("v_identity_member", rc.complement_word_member)
     report.emit("generators_self_reciprocal", rc.generators_self_reciprocal)
     report.emit("rc_sufficiency", rc.sufficiency_satisfied)
     report.check("sufficiency_implies_closure", rc.sufficiency_implies_closure)
@@ -404,12 +426,7 @@ def _verify_f2v(cfg: JobConfig, report: Report) -> None:
                 ),
             )
         if cfg.metric in ("edit", "all"):
-            costs = load_costs(cfg)
-            strings = [skew.word_to_dna(w, n) for w in words]
-            lo = metrics.min_pairwise(
-                strings, lambda a, b: metrics.edit_distance(a, b, costs)
-            )
-            report.emit("min_edit_nucleotide", lo.minimum)
+            _min_edit(cfg, report, words, n, "nucleotide", skew.word_to_dna)
 
 
 def cmd_build_verify(cfg: JobConfig) -> int:
@@ -487,8 +504,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--tower", help="six comma-separated binary polynomials")
     p.add_argument("--case", type=int, choices=(1, 2, 3))
-    p.add_argument("--metric", choices=("hamming", "lee", "edit", "all"))
-    p.add_argument("--level", choices=("codon", "nucleotide"))
+    p.add_argument("--metric", choices=METRICS)
+    p.add_argument("--level", choices=LEVELS)
     p.add_argument("--guard", type=int)
     p.add_argument("--format", dest="fmt", choices=("fasta", "csv", "report"))
     p.add_argument("--out")
@@ -534,10 +551,6 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
             setattr(cfg, name, value)
     if getattr(args, "gens", None):
         cfg.gens = tuple(args.gens)
-    if not cfg.metric:
-        cfg.metric = "all"
-    if not cfg.level:
-        cfg.level = "codon"
     return cfg
 
 
@@ -556,9 +569,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = config_from_args(args)
         return _COMMANDS[args.command](cfg)
     except (UsageError, GuardExceeded) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

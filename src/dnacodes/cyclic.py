@@ -185,6 +185,41 @@ class LinearCode:
         return self.contains_complement_word() and self.reversal_closed()
 
 
+@dataclass(frozen=True)
+class RcReport:
+    """The reverse-complement theorem on one code: the sufficient
+    condition (complement word in the code plus self-reciprocal
+    generators) implies closure, and closure implies it back."""
+
+    complement_word_member: bool
+    generators_self_reciprocal: bool
+    rc_closed: bool
+
+    @property
+    def sufficiency_satisfied(self) -> bool:
+        return self.complement_word_member and self.generators_self_reciprocal
+
+    @property
+    def sufficiency_implies_closure(self) -> bool:
+        return self.rc_closed or not self.sufficiency_satisfied
+
+    @property
+    def closure_implies_necessity(self) -> bool:
+        return self.sufficiency_satisfied or not self.rc_closed
+
+    @property
+    def consistent(self) -> bool:
+        return self.sufficiency_implies_closure and self.closure_implies_necessity
+
+
+def rc_report(code: LinearCode) -> RcReport:
+    return RcReport(
+        complement_word_member=code.contains_complement_word(),
+        generators_self_reciprocal=code.generators_self_reciprocal(),
+        rc_closed=code.rc_closed(),
+    )
+
+
 def rc_closed_extensional(
     code: LinearCode, words: Iterable[int]
 ) -> tuple[bool, int | None]:
@@ -335,10 +370,12 @@ class CyclicCodeR(LinearCode):
                         gen = gen.gcd(Gf2Poly(part))
             # Tor_i is itself cyclic, so its generator is this gcd
             deg = gen.degree if gen.degree is not None else n
-            assert tor.dim == n - deg, "torsion level dim mismatch"
+            if tor.dim != n - deg:
+                raise RuntimeError("torsion level dim mismatch")
             levels.append(TorsionLevel(i, gen, tor.dim))
             dims_sum += tor.dim
-        assert dims_sum == self.dim, "torsion dims must sum to log2|C|"
+        if dims_sum != self.dim:
+            raise RuntimeError("torsion dims must sum to log2|C|")
         k = tuple(
             levels[i].dim - (levels[i - 1].dim if i else 0) for i in range(6)
         )
@@ -363,64 +400,6 @@ class CyclicCodeR(LinearCode):
             if deg < self.n:
                 total += self.n - deg
         return 1 << total
-
-
-@dataclass(frozen=True)
-class RcSufficiency:
-    """The sufficient condition: self-reciprocal tower polynomials plus
-    the alpha-identity word in the code."""
-
-    all_self_reciprocal: bool
-    failing_polys: tuple[str, ...]
-    alpha_identity_member: bool
-
-    @property
-    def satisfied(self) -> bool:
-        return self.all_self_reciprocal and self.alpha_identity_member
-
-
-def rc_sufficiency(code: CyclicCodeR) -> RcSufficiency:
-    if code.tower is None:
-        raise ValueError("sufficiency test needs a tower description")
-    failing = tuple(
-        f"f{i}={f}" for i, f in enumerate(code.tower)
-        if not f.is_self_reciprocal()
-    )
-    return RcSufficiency(
-        all_self_reciprocal=not failing,
-        failing_polys=failing,
-        alpha_identity_member=code.contains_complement_word(),
-    )
-
-
-@dataclass(frozen=True)
-class NecessityReport:
-    """Given an rc-closed code, both necessary conditions must hold."""
-
-    applicable: bool
-    alpha_identity_member: bool
-    all_self_reciprocal: bool
-    failing_polys: tuple[str, ...]
-
-    @property
-    def holds(self) -> bool:
-        if not self.applicable:
-            return True
-        return self.alpha_identity_member and self.all_self_reciprocal
-
-
-def necessity_report(
-    code: CyclicCodeR, rc_closed: bool | None = None
-) -> NecessityReport:
-    if rc_closed is None:
-        rc_closed = code.rc_closed()
-    suff = rc_sufficiency(code)
-    return NecessityReport(
-        applicable=rc_closed,
-        alpha_identity_member=suff.alpha_identity_member,
-        all_self_reciprocal=suff.all_self_reciprocal,
-        failing_polys=suff.failing_polys,
-    )
 
 
 # -- builders ----------------------------------------------------------------
@@ -564,11 +543,6 @@ def classify_dna_code(
         raise ValueError(f"unknown level: {level}")
     dist = lambda a, b: metrics.edit_distance(a, b, costs)
     lo = metrics.min_pairwise(symbols, dist)
-    hi = max(
-        dist(symbols[i], symbols[j])
-        for i in range(len(symbols))
-        for j in range(i + 1, len(symbols))
-    )
     return DnaClassification(
         n=n,
         level=level,
@@ -577,7 +551,7 @@ def classify_dna_code(
         rc_witness=witness,
         fixed_points=fixed,
         min_edit=lo.minimum,
-        max_edit=hi,
+        max_edit=lo.maximum,
     )
 
 
@@ -665,33 +639,23 @@ class RcTally:
     skipped_over_guard: int = 0
     violations: list[str] = field(default_factory=list)
 
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
     def check_code(self, code: LinearCode, label: str, guard: int) -> None:
-        """One theorem instance.  The sufficient condition (complement
-        word plus self-reciprocal generators) must imply closure,
-        closure must imply it back (necessity), and the closure decided
-        algebraically must agree with the enumerated check.  Codes above
-        the guard still get the algebraic implications."""
-        suff = (
-            code.contains_complement_word()
-            and code.generators_self_reciprocal()
-        )
-        alg_closed = code.rc_closed()
-        if suff and not alg_closed:
+        """One theorem instance: both implications of rc_report, and
+        the closure decided algebraically must agree with the enumerated
+        check.  Codes above the guard still get the implications."""
+        rc = rc_report(code)
+        if not rc.sufficiency_implies_closure:
             self.violations.append(f"{label}: sufficiency but not closed")
-        if alg_closed and not suff:
+        if not rc.closure_implies_necessity:
             self.violations.append(f"{label}: closed but necessity fails")
         if code.size() > guard:
             self.skipped_over_guard += 1
             return
         self.codes_enumerated += 1
         ext_closed, witness = rc_closed_extensional(code, code.words(guard))
-        if ext_closed != alg_closed:
+        if ext_closed != rc.rc_closed:
             self.violations.append(
-                f"{label}: algebraic closure {alg_closed} but "
+                f"{label}: algebraic closure {rc.rc_closed} but "
                 f"enumeration says {ext_closed} (witness {witness})"
             )
 
@@ -727,12 +691,10 @@ __all__ = [
     "TorsionLevel",
     "TorsionProfile",
     "LinearCode",
+    "RcReport",
+    "rc_report",
     "rc_closed_extensional",
     "CyclicCodeR",
-    "RcSufficiency",
-    "rc_sufficiency",
-    "NecessityReport",
-    "necessity_report",
     "single_generator_code",
     "iter_admissible_towers",
     "SubcodeU2Report",

@@ -335,7 +335,8 @@ def factor_xn_minus_1(n: int) -> tuple[tuple[Gf2Poly, int], ...]:
     for group, d in _distinct_degree_split((1 << m) | 1):
         irreducibles.extend(_equal_degree_split(group, d, rng))
     factors = sorted(Gf2Poly(v) for v in irreducibles)
-    assert reduce(lambda a, b: a * b, factors, ONE).value == (1 << m) | 1
+    if reduce(lambda a, b: a * b, factors, ONE).value != (1 << m) | 1:
+        raise RuntimeError(f"factors of x^{m}-1 do not multiply back to it")
     return tuple((f, mult) for f in factors)
 
 

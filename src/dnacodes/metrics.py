@@ -110,15 +110,18 @@ def hamming_distance(x: Sequence[Hashable], y: Sequence[Hashable]) -> int:
 
 @dataclass(frozen=True)
 class MinResult:
-    """Minimum pairwise distance plus one witnessing pair.
+    """Minimum pairwise distance plus one witnessing pair, and the
+    maximum over the pairs scanned.
 
-    With an early exit the value is only an upper bound on the true
-    minimum; ``exhaustive`` says whether every pair was scanned.
+    With an early exit the minimum is only an upper bound on the true
+    minimum (and the maximum a lower bound on the true maximum);
+    ``exhaustive`` says whether every pair was scanned.
     """
 
     minimum: float
     pair: tuple[int, int]
     count_at_minimum: int
+    maximum: float
     exhaustive: bool = True
 
 
@@ -134,7 +137,7 @@ def min_pairwise(
     """
     if len(items) < 2:
         raise ValueError("need at least two items")
-    best = None
+    best = top = None
     pair = (0, 1)
     hits = 0
     stopped = False
@@ -145,10 +148,12 @@ def min_pairwise(
                 best, pair, hits = d, (i, j), 1
             elif d == best:
                 hits += 1
+            if top is None or d > top:
+                top = d
         if upper_bound is not None and best is not None and best <= upper_bound:
             stopped = i < len(items) - 2
             break
-    return MinResult(best, pair, hits, exhaustive=not stopped)
+    return MinResult(best, pair, hits, top, exhaustive=not stopped)
 
 
 def min_nonzero_hamming_weight(words: Iterable[int], n: int) -> int:

@@ -485,35 +485,6 @@ class SkewCode(LinearCode):
         return all(is_self_reciprocal(g) for g in self.generators)
 
 
-@dataclass(frozen=True)
-class SkewRcReport:
-    v_identity_member: bool
-    generators_self_reciprocal: bool
-    rc_closed: bool
-    sufficiency_satisfied: bool
-    sufficiency_implies_closure: bool
-    closure_implies_necessity: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.sufficiency_implies_closure and self.closure_implies_necessity
-
-
-def rc_report(code: SkewCode) -> SkewRcReport:
-    v_member = code.contains_complement_word()
-    self_rec = code.generators_self_reciprocal()
-    closed = code.rc_closed()
-    suff = v_member and self_rec
-    return SkewRcReport(
-        v_identity_member=v_member,
-        generators_self_reciprocal=self_rec,
-        rc_closed=closed,
-        sufficiency_satisfied=suff,
-        sufficiency_implies_closure=(not suff) or closed,
-        closure_implies_necessity=(not closed) or suff,
-    )
-
-
 # -- right-divisor search ----------------------------------------------------
 
 
@@ -672,8 +643,6 @@ __all__ = [
     "gray_image_report",
     "SkewCodeError",
     "SkewCode",
-    "SkewRcReport",
-    "rc_report",
     "monic_right_divisor_candidates",
     "monic_right_divisors",
     "two_sided_factorization_holds",

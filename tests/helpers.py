@@ -5,10 +5,19 @@ than the code under test: edit distance by exhaustive alignment enumeration
 instead of dynamic programming, polynomial products by schoolbook
 convolution instead of packed-integer shifts, irreducibility by trial
 division, and code enumeration by breadth-first closure instead of
-row-echelon span walks.
+row-echelon span walks.  src_env is the one non-oracle helper: the
+environment for running the package from this checkout in a subprocess.
 """
 
+import os
 from itertools import combinations
+from pathlib import Path
+
+
+def src_env() -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def alignment_edit_distance(x, y, costs=None):

@@ -1,6 +1,6 @@
 """End-to-end command line coverage via cli.main(argv)."""
 
-import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +9,7 @@ import pytest
 
 from dnacodes import cli, skew
 from dnacodes.cli import JobConfig, UsageError
+from helpers import src_env
 
 
 def run(capsys, *argv):
@@ -18,6 +19,7 @@ def run(capsys, *argv):
 
 
 EXPECTED = Path(__file__).parent / "expected"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
@@ -49,17 +51,41 @@ def test_report_text_is_pinned(capsys, name, exit_code, argv):
 
 @pytest.mark.parametrize("module", ["dnacodes", "dnacodes.cli"])
 def test_python_dash_m_runs_without_warnings(module):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-W", "always", "-m", module, "factor", "-n", "7"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=src_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "n: 7"
     assert proc.stdout.splitlines()[-1] == "product: (x+1)(x^3+x+1)(x^3+x^2+1)"
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_readme_f2v_example_skips_the_edit_scan():
+    # the README example with default flags: 4096 words, so --metric all
+    # must skip the quadratic edit scan and finish quickly
+    proc = subprocess.run(
+        [sys.executable, "-m", "dnacodes", "build-verify", "--ring", "f2v",
+         "-n", "8", "--gen", "x^2+v*x+1"],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert (
+        "min_edit: skipped for 4096 words; pass --metric edit to force"
+        in proc.stdout.splitlines()
+    )
+    assert "failure: sufficiency_implies_closure" in proc.stdout
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(
+        r"## Library example\n\n```python\n(.*?)```", readme, re.S
+    ).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "64 (0, 0, 0, 0, 3, 0)", "4", "False",
+    ]
 
 
 def test_factor_n7(capsys):
@@ -310,6 +336,8 @@ def test_usage_errors_exit_2(capsys):
          "--gen", "x+1"),  # odd length
         ("build-verify", "--ring", "f2v", "-n", "2",
          "--gen", "x+v"),  # not a right divisor
+        ("build-verify", "--ring", "r64", "-n", "0",
+         "--gen", "u*(x+1)"),  # non-positive length
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -328,3 +356,34 @@ def test_skew_generator_string_round_trip_through_cli(capsys):
     )
     assert code == 0
     assert "case: 2" in out
+
+
+def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
+    bad_number = tmp_path / "number.cfg"
+    bad_number.write_text("ring = r64\nn = seven\n")
+    bad_level = tmp_path / "level.cfg"
+    bad_level.write_text("ring = r64\nn = 7\ngen = u^4*(x+1)\nlevel = bogus\n")
+    bad_costs = tmp_path / "costs.csv"
+    bad_costs.write_text("from,to,cost\nA,G,cheap\n")
+    cases = [
+        ("build-verify", "--config", str(bad_number)),
+        ("build-verify", "--config", str(bad_level), "--dna-d", "5"),
+        ("build-verify", "--ring", "r64", "-n", "7",
+         "--gen", "u^4*(x+1)*(x^3+x+1)", "--metric", "edit",
+         "--costs", str(bad_costs)),
+        ("build-verify", "--ring", "r64", "-n", "7",
+         "--gen", "u^0*(x^7+1)", "--dna-d", "3"),  # a one-word code
+    ]
+    for argv in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:"), argv
+
+
+def test_library_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(n):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "factor_xn_minus_1", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        cli.main(["factor", "-n", "7"])

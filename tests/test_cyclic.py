@@ -1,6 +1,8 @@
 """Cyclic codes over the 64-element chain ring."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +15,7 @@ from dnacodes.cyclic import (
     single_generator_code,
 )
 from dnacodes.gf2poly import Gf2Poly, GuardExceeded, x_pow_n_minus_1
-from helpers import closure_r_words
+from helpers import closure_r_words, src_env
 
 
 F0 = Gf2Poly.from_string("x+1")
@@ -141,13 +143,12 @@ def test_rc_closed_code_and_sufficiency():
     code = CyclicCodeR.from_tower(3, [f] * 6)
     assert code.contains_complement_word()
     assert code.rc_closed()
-    suff = cyclic.rc_sufficiency(code)
-    assert suff.satisfied
-    assert suff.failing_polys == ()
+    rc = cyclic.rc_report(code)
+    assert rc.sufficiency_satisfied
+    assert rc.generators_self_reciprocal
     ext_closed, witness = cyclic.rc_closed_extensional(code, code.words(2**16))
     assert ext_closed and witness is None
-    nec = cyclic.necessity_report(code)
-    assert nec.applicable and nec.holds
+    assert rc.rc_closed and rc.closure_implies_necessity
 
 
 def test_not_rc_closed_reports_witness():
@@ -157,12 +158,11 @@ def test_not_rc_closed_reports_witness():
     assert not ext_closed
     assert witness in words
     assert ring64.word_reverse_complement(witness, 7) not in set(words)
-    suff = cyclic.rc_sufficiency(code)
-    assert not suff.satisfied
-    assert not suff.alpha_identity_member
-    nec = cyclic.necessity_report(code)
-    assert not nec.applicable  # not closed, so nothing is required
-    assert nec.holds
+    rc = cyclic.rc_report(code)
+    assert not rc.sufficiency_satisfied
+    assert not rc.complement_word_member
+    assert not rc.rc_closed  # not closed, so nothing is required
+    assert rc.closure_implies_necessity
 
 
 def test_alpha_identity_membership_rule_odd_length():
@@ -263,6 +263,24 @@ def test_rc_theorem_campaign_smallest_length():
     res = cyclic.rc_theorem_campaign(lengths=(3,), guard=2**14)
     assert res.towers_checked == 49
     assert res.violations == []
+
+
+def test_torsion_invariant_raises_under_python_O():
+    # a wrong modulus breaks the torsion dimension invariant; the check
+    # must still raise when python -O strips asserts
+    script = (
+        "from dnacodes import cyclic, ring64\n"
+        "from dnacodes.gf2poly import Gf2Poly\n"
+        "code = cyclic.CyclicCodeR(7, [ring64.word_from_poly(0b11, 7, level=4)])\n"
+        "cyclic.x_pow_n_minus_1 = lambda n: Gf2Poly(1)\n"
+        "code.torsion_profile\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "RuntimeError: torsion level dim mismatch" in proc.stderr
 
 
 def test_words_guard_raises():

@@ -135,6 +135,20 @@ def test_min_pairwise_exhaustive():
     assert metrics.edit_distance(items[i], items[j]) == 1
 
 
+def test_min_pairwise_maximum_matches_brute_force():
+    rng = random.Random(405)
+    for _ in range(30):
+        items = [
+            tuple(rng.choice("ACGT") for _ in range(rng.randrange(1, 6)))
+            for _ in range(rng.randrange(2, 10))
+        ]
+        res = metrics.min_pairwise(items, metrics.edit_distance)
+        assert res.maximum == max(
+            metrics.edit_distance(a, b)
+            for i, a in enumerate(items) for b in items[i + 1:]
+        )
+
+
 def test_min_pairwise_needs_two_items():
     with pytest.raises(ValueError):
         metrics.min_pairwise(["solo"], metrics.edit_distance)

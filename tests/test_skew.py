@@ -355,8 +355,8 @@ def test_length_eight_counterexamples_in_detail():
 
 def test_rc_report_consistency_fields():
     code = SkewCode.from_case3(10, tuple([V] * 10))
-    rep = skew.rc_report(code)
-    assert rep.v_identity_member
+    rep = cyclic.rc_report(code)
+    assert rep.complement_word_member
     assert rep.generators_self_reciprocal
     assert rep.rc_closed
     assert rep.sufficiency_satisfied
