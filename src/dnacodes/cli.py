@@ -24,7 +24,7 @@ from . import codons, cyclic, metrics, reference_tables, ring64, skew
 from .gf2poly import Gf2Poly, GuardExceeded, factor_xn_minus_1, split_top_level
 
 DEFAULT_GUARD = 2**20
-# above this many words --metric all skips the quadratic edit scan
+# above this many words build-verify skips its edit scans unless --metric edit
 EDIT_SCAN_MAX_WORDS = 1024
 
 
@@ -94,8 +94,10 @@ class JobConfig:
                 raise UsageError("use repeated 'gen =' lines")
             try:
                 kwargs[key] = _CONFIG_TYPES.get(key, str)(value)
-            except ValueError as e:
-                raise UsageError(str(e)) from None
+            except ValueError:
+                raise UsageError(
+                    f"config line {lineno}: bad value for {key}: {value!r}"
+                ) from None
             if key in _CONFIG_CHOICES and value not in _CONFIG_CHOICES[key]:
                 raise UsageError(f"unknown {key}: {value}")
         if gens:
@@ -117,7 +119,6 @@ def parse_r64_generator(text: str) -> tuple[int, Gf2Poly]:
         raise UsageError(str(e)) from None
     level = 0
     poly = Gf2Poly(1)
-    saw_poly = False
     for part in parts:
         if not part:
             raise UsageError(f"empty factor in generator {text!r}")
@@ -135,11 +136,8 @@ def parse_r64_generator(text: str) -> tuple[int, Gf2Poly]:
                 poly = poly * Gf2Poly.from_string(part)
             except ValueError as e:
                 raise UsageError(f"bad polynomial factor {part!r}: {e}") from None
-            saw_poly = True
     if not 0 <= level <= 5:
         raise UsageError(f"u-exponent must be 0..5, got {level}")
-    if not saw_poly:
-        poly = Gf2Poly(1)
     return level, poly
 
 
@@ -156,6 +154,8 @@ def parse_tower(text: str) -> tuple[Gf2Poly, ...]:
 def build_r64_code(cfg: JobConfig) -> cyclic.CyclicCodeR:
     if cfg.n is None:
         raise UsageError("length -n is required")
+    if cfg.n < 1:
+        raise UsageError("need n >= 1")
     if cfg.tower and cfg.gens:
         raise UsageError("give either --tower or --gen, not both")
     try:
@@ -164,8 +164,6 @@ def build_r64_code(cfg: JobConfig) -> cyclic.CyclicCodeR:
         if len(cfg.gens) != 1:
             raise UsageError("r64 codes take exactly one --gen (or a --tower)")
         level, f = parse_r64_generator(cfg.gens[0])
-        if cfg.n < 1:
-            raise UsageError("need n >= 1")
         return cyclic.single_generator_code(cfg.n, level, f)
     except cyclic.TowerError as e:
         raise UsageError(str(e)) from None
@@ -289,22 +287,25 @@ def _min_edit(
     n: int,
     level: str,
     to_symbols: Callable[[int, int], Sequence],
-) -> None:
-    """The all-pairs minimum edit distance over the words' symbol
-    strings; under --metric all it is skipped above EDIT_SCAN_MAX_WORDS
-    words (--metric edit forces it)."""
-    if cfg.metric == "all" and len(words) > EDIT_SCAN_MAX_WORDS:
-        report.emit(
-            "min_edit",
-            f"skipped for {len(words)} words; pass --metric edit to force",
-        )
-        return
+    uses: Sequence[str],
+) -> metrics.MinResult | None:
+    """The run's one all-pairs edit scan over the words' symbols at the
+    level, for the report keys in uses.  Above EDIT_SCAN_MAX_WORDS words
+    it is skipped unless --metric edit forces it: each key gets a skip
+    line and the result is None."""
+    if cfg.metric != "edit" and len(words) > EDIT_SCAN_MAX_WORDS:
+        skip = f"skipped for {len(words)} words; pass --metric edit to force"
+        for key in uses:
+            report.emit(key, skip)
+        return None
     costs = load_costs(cfg)
-    lo = metrics.min_pairwise(
+    scan = metrics.min_pairwise(
         [to_symbols(w, n) for w in words],
         lambda a, b: metrics.edit_distance(a, b, costs),
     )
-    report.emit(f"min_edit_{level}", lo.minimum)
+    if "min_edit" in uses:
+        report.emit(f"min_edit_{level}", scan.minimum)
+    return scan
 
 
 def _verify_r64(cfg: JobConfig, report: Report) -> None:
@@ -351,32 +352,37 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
     report.check("gray_linear", gray.linear)
     report.check("gray_shift6_closed", gray.shift_closed)
 
-    if len(words) >= 2:
-        if cfg.metric in ("hamming", "all"):
-            report.emit(
-                "min_hamming", metrics.min_nonzero_hamming_weight(words, n)
-            )
-        if cfg.metric in ("lee", "all"):
-            report.emit("min_lee", metrics.min_nonzero_lee_weight(words, n))
-        if cfg.metric in ("edit", "all"):
-            if cfg.level == "nucleotide":
-                to_symbols = codons.canonical_table().encode_word
-            else:
-                to_symbols = cyclic.codon_symbols
-            _min_edit(cfg, report, words, n, cfg.level, to_symbols)
-            bound = cyclic.edit_bound_check(code, cfg.guard)
-            report.check(
-                "edit_bounds",
-                bound.holds,
-                f"min_edit {bound.min_edit} vs deg-bound "
-                f"{bound.bound_min_degree}, singleton {bound.bound_singleton}",
-            )
-    if cfg.dna_d is not None:
-        if len(words) < 2:
-            raise UsageError("need at least two items")
-        cls = cyclic.classify_dna_code(
-            code, cfg.dna_d, cfg.guard, cfg.level, load_costs(cfg)
+    if len(words) < 2:
+        if cfg.dna_d is not None:
+            raise UsageError("--dna-d needs a code of at least two words")
+        return
+    if cfg.metric in ("hamming", "all"):
+        report.emit("min_hamming", metrics.min_nonzero_hamming_weight(words, n))
+    if cfg.metric in ("lee", "all"):
+        report.emit("min_lee", metrics.min_nonzero_lee_weight(words, n))
+    edit = cfg.metric in ("edit", "all")
+    uses = (["min_edit", "edit_bounds"] if edit else []) + (
+        ["dna_code"] if cfg.dna_d is not None else []
+    )
+    if not uses:
+        return
+    if cfg.level == "nucleotide":
+        to_symbols = codons.canonical_table().encode_word
+    else:
+        to_symbols = cyclic.codon_symbols
+    scan = _min_edit(cfg, report, words, n, cfg.level, to_symbols, uses)
+    if scan is None:
+        return
+    if edit:
+        bound = cyclic.edit_bound_check(code, words)
+        report.check(
+            "edit_bounds",
+            bound.holds,
+            f"min_edit {bound.min_edit} vs deg-bound "
+            f"{bound.bound_min_degree}, singleton {bound.bound_singleton}",
         )
+    if cfg.dna_d is not None:
+        cls = cyclic.classify_dna_code(code, words, cfg.dna_d, scan)
         report.emit("dna_code", cls.is_dna_code)
         report.emit("dna_fixed_points", len(cls.fixed_points))
         report.emit("dna_max_edit", cls.max_edit)
@@ -426,7 +432,8 @@ def _verify_f2v(cfg: JobConfig, report: Report) -> None:
                 ),
             )
         if cfg.metric in ("edit", "all"):
-            _min_edit(cfg, report, words, n, "nucleotide", skew.word_to_dna)
+            _min_edit(cfg, report, words, n, "nucleotide", skew.word_to_dna,
+                      ["min_edit"])
 
 
 def cmd_build_verify(cfg: JobConfig) -> int:

@@ -350,19 +350,24 @@ class CyclicCodeR(LinearCode):
     # -- torsion ------------------------------------------------------------
 
     @cached_property
+    def levelmajor_echelon(self) -> Echelon:
+        """The echelon basis in level-major order, where the rows
+        supported on u-levels >= i span C ∩ u^i R^n."""
+        n = self.n
+        return Echelon(word_to_levelmajor(w, n) for w in self.spanning_words())
+
+    @cached_property
     def torsion_profile(self) -> TorsionProfile:
         n = self.n
-        ech = Echelon(word_to_levelmajor(w, n) for w in self.spanning_words())
         modulus = x_pow_n_minus_1(n)
         mask = (1 << n) - 1
         levels = []
         dims_sum = 0
         for i in range(6):
-            # rows supported on u-levels >= i span C ∩ u^i R^n exactly
             limit = 1 << ((6 - i) * n)
             tor = Echelon()
             gen = modulus
-            for row in ech.basis():
+            for row in self.levelmajor_echelon.basis():
                 if row < limit:
                     part = (row >> ((5 - i) * n)) & mask
                     tor.add(part)
@@ -459,10 +464,11 @@ class SubcodeU2Report:
 def subcode_u2(code: CyclicCodeR) -> CyclicCodeR:
     """The subcode {w in C : every coordinate is a multiple of u^2}."""
     n = code.n
-    ech = Echelon(word_to_levelmajor(w, n) for w in code.spanning_words())
     limit = 1 << (4 * n)
     gens = [
-        levelmajor_to_word(row, n) for row in ech.basis() if row < limit
+        levelmajor_to_word(row, n)
+        for row in code.levelmajor_echelon.basis()
+        if row < limit
     ]
     return CyclicCodeR(n, gens)
 
@@ -499,7 +505,6 @@ class DnaClassification:
     self-reverse-complement word, rc-closure, and max edit <= D."""
 
     n: int
-    level: str
     D: float
     rc_closed: bool
     rc_witness: int | None
@@ -523,35 +528,25 @@ def codon_symbols(word: int, n: int) -> tuple[str, ...]:
 
 def classify_dna_code(
     code: CyclicCodeR,
+    words: Sequence[int],
     D: float,
-    guard: int = DEFAULT_GUARD,
-    level: str = "codon",
-    costs: metrics.EditCostTable | None = None,
+    scan: metrics.MinResult,
 ) -> DnaClassification:
+    """Classify the code's enumerated words at threshold D, given the
+    full all-pairs edit scan of those words (codon or nucleotide)."""
     n = code.n
-    words = code.words(guard)
     closed, witness = rc_closed_extensional(code, words)
     fixed = tuple(
         w for w in words if ring64.word_reverse_complement(w, n) == w
     )
-    table = codons.canonical_table()
-    if level == "codon":
-        symbols = [codon_symbols(w, n) for w in words]
-    elif level == "nucleotide":
-        symbols = [table.encode_word(w, n) for w in words]
-    else:
-        raise ValueError(f"unknown level: {level}")
-    dist = lambda a, b: metrics.edit_distance(a, b, costs)
-    lo = metrics.min_pairwise(symbols, dist)
     return DnaClassification(
         n=n,
-        level=level,
         D=D,
         rc_closed=closed,
         rc_witness=witness,
         fixed_points=fixed,
-        min_edit=lo.minimum,
-        max_edit=lo.maximum,
+        min_edit=scan.minimum,
+        max_edit=scan.maximum,
     )
 
 
@@ -604,17 +599,16 @@ class EditBoundCheck:
 
 
 def edit_bound_check(
-    code: CyclicCodeR, guard: int = DEFAULT_GUARD, exact: bool = False
+    code: CyclicCodeR, words: Sequence[int], exact: bool = False
 ) -> EditBoundCheck:
-    """Codon-level minimum edit distance against the two structural
-    bounds: min deg(fi) + 1 and n - rank + 1.
+    """Codon-level minimum edit distance of the code's enumerated words
+    against the two structural bounds: min deg(fi) + 1 and n - rank + 1.
 
     By default the pair scan stops as soon as the bounds are certified;
     pass exact=True to force the full quadratic scan.
     """
     if code.tower is None:
         raise ValueError("bound check needs a tower description")
-    words = code.words(guard)
     symbols = [codon_symbols(w, code.n) for w in words]
     min_deg = min(
         f.degree for f in code.tower if f.degree is not None

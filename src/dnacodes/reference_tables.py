@@ -299,13 +299,9 @@ def regenerate_table3(guard: int = 2**20) -> TableReport:
     code = table3_code()
     words = sorted(code.words(guard))
     strings = [table.encode_word(w, 7) for w in words]
-    codon_words = [tuple(table.codon(x) for x in ring64.unpack_word(w, 7))
-                   for w in words]
+    codon_words = [cyclic.codon_symbols(w, 7) for w in words]
     min_edit_codon = metrics.min_pairwise(codon_words, metrics.edit_distance)
     min_edit_nuc = metrics.min_pairwise(strings, metrics.edit_distance)
-    min_hamming = metrics.min_pairwise(
-        words, lambda a, b: ring64.word_hamming_weight(a ^ b, 7)
-    )
     closed, witnesses = codons.verify_dna_set_rc(strings)
     report = TableReport(
         which=3,
@@ -338,7 +334,9 @@ def regenerate_table3(guard: int = 2**20) -> TableReport:
     )
     report.notes.append(f"min_edit_codon_level: {min_edit_codon.minimum}")
     report.notes.append(f"min_edit_nucleotide_level: {min_edit_nuc.minimum}")
-    report.notes.append(f"min_hamming: {min_hamming.minimum}")
+    report.notes.append(
+        f"min_hamming: {metrics.min_nonzero_hamming_weight(words, 7)}"
+    )
     report.notes.append(f"rc_closed: {closed}")
     if witnesses:
         report.notes.append(f"rc_witness: {witnesses[0]}")

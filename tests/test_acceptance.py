@@ -293,7 +293,7 @@ def test_criterion_6_edit_distance_oracle(capsys):
     ok_bounds = True
     for label, _ in rt.PRINTED_HAMMING_FAMILY:
         code = cyclic.single_generator_code(7, 4, factors[label])
-        if not cyclic.edit_bound_check(code, 2**16).holds:
+        if not cyclic.edit_bound_check(code, code.words(2**16)).holds:
             ok_bounds = False
     elapsed = time.perf_counter() - t0
     checks = {

@@ -40,6 +40,13 @@ ROOT = Path(__file__).resolve().parent.parent
         ("export_csv_f2v", 0,
          ["export", "--ring", "f2v", "-n", "4", "--gen", "x^2+1",
           "--format", "csv"]),
+        ("r64_n9_all_dna", 0,
+         ["build-verify", "--ring", "r64", "-n", "9",
+          "--gen", "u^5*(x^2+x+1)", "--metric", "all", "--dna-d", "9"]),
+        ("r64_n7_nucleotide_costs_dna", 0,
+         ["build-verify", "--ring", "r64", "-n", "7",
+          "--gen", "u^4*(x+1)*(x^3+x+1)", "--level", "nucleotide",
+          "--costs", str(EXPECTED / "weighted_costs.csv"), "--dna-d", "12"]),
     ],
 )
 def test_report_text_is_pinned(capsys, name, exit_code, argv):
@@ -75,6 +82,23 @@ def test_readme_f2v_example_skips_the_edit_scan():
         in proc.stdout.splitlines()
     )
     assert "failure: sufficiency_implies_closure" in proc.stdout
+
+
+def test_dna_classification_over_the_word_cap_skips_the_scan():
+    # 4096 words and no --metric edit: the classification is skipped
+    # like the other edit scans instead of scanning 8.4 M pairs
+    proc = subprocess.run(
+        [sys.executable, "-m", "dnacodes", "build-verify", "--ring", "r64",
+         "-n", "7", "--gen", "u^4*(x+1)", "--dna-d", "5"],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (
+        "dna_code: skipped for 4096 words; pass --metric edit to force"
+        in lines
+    )
+    assert not any(l.startswith("dna_max_edit") for l in lines)
 
 
 def test_readme_library_example_runs(capsys):
@@ -211,6 +235,21 @@ def test_build_verify_edit_scan_capped(capsys):
     )
     assert code == 0
     assert "min_edit: skipped for 4096 words" in out
+
+
+def test_edit_bound_check_is_skipped_over_the_word_cap(capsys):
+    # 4096 words under the default --metric all
+    code, out, _ = run(
+        capsys,
+        "build-verify", "--ring", "r64", "-n", "5", "--gen", "u^3*(x+1)",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert not any(l.startswith("check.edit_bounds") for l in lines)
+    assert (
+        "edit_bounds: skipped for 4096 words; pass --metric edit to force"
+        in lines
+    )
 
 
 @pytest.mark.parametrize("which", [1, 2, 3, 4, 5])
@@ -366,18 +405,27 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
     bad_costs = tmp_path / "costs.csv"
     bad_costs.write_text("from,to,cost\nA,G,cheap\n")
     cases = [
-        ("build-verify", "--config", str(bad_number)),
-        ("build-verify", "--config", str(bad_level), "--dna-d", "5"),
-        ("build-verify", "--ring", "r64", "-n", "7",
-         "--gen", "u^4*(x+1)*(x^3+x+1)", "--metric", "edit",
-         "--costs", str(bad_costs)),
-        ("build-verify", "--ring", "r64", "-n", "7",
-         "--gen", "u^0*(x^7+1)", "--dna-d", "3"),  # a one-word code
+        (("build-verify", "--config", str(bad_number)),
+         "config line 2: bad value for n: 'seven'"),
+        (("build-verify", "--config", str(bad_level), "--dna-d", "5"),
+         "unknown level: bogus"),
+        (("build-verify", "--ring", "r64", "-n", "7",
+          "--gen", "u^4*(x+1)*(x^3+x+1)", "--metric", "edit",
+          "--costs", str(bad_costs)),
+         "bad cost value 'cheap'"),
+        (("build-verify", "--ring", "r64", "-n", "7",
+          "--gen", "u^0*(x^7+1)", "--dna-d", "3"),  # a one-word code
+         "--dna-d needs a code of at least two words"),
+        (("build-verify", "--ring", "r64", "-n", "0", "--gen", "u*(x+1)"),
+         "need n >= 1"),
+        (("build-verify", "--ring", "r64", "-n", "0",
+          "--tower", ",".join(["x+1"] * 6)),
+         "need n >= 1"),
     ]
-    for argv in cases:
+    for argv, message in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
-        assert err.startswith("error:"), argv
+        assert err == f"error: {message}\n", argv
 
 
 def test_library_value_error_is_not_a_usage_error(monkeypatch):

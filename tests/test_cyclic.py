@@ -241,18 +241,25 @@ def test_edit_bound_check_frozen_family():
     bounds = {"f0": 2, "f1": 4, "f2": 4, "f1*f2": 7, "f0*f1": 5, "f0*f2": 5}
     for label, f in prods.items():
         code = single_generator_code(7, 4, f)
-        chk = cyclic.edit_bound_check(code, 2**20)
+        chk = cyclic.edit_bound_check(code, code.words(2**20))
         assert chk.holds, label
         assert min(chk.bound_min_degree, chk.bound_singleton) == bounds[label]
         if label in exact_edit:
-            chk_exact = cyclic.edit_bound_check(code, 2**20, exact=True)
+            chk_exact = cyclic.edit_bound_check(
+                code, code.words(2**20), exact=True
+            )
             assert chk_exact.min_edit_exact
             assert chk_exact.min_edit == exact_edit[label]
             assert chk_exact.holds
 
 
 def test_classify_dna_code_on_table3():
-    cls = cyclic.classify_dna_code(table3_code(), D=6)
+    code = table3_code()
+    words = code.words(2**20)
+    scan = metrics.min_pairwise(
+        [cyclic.codon_symbols(w, 7) for w in words], metrics.edit_distance
+    )
+    cls = cyclic.classify_dna_code(code, words, 6, scan)
     assert not cls.rc_closed
     assert cls.min_edit == 2
     assert not cls.is_dna_code
