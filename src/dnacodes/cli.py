@@ -99,7 +99,9 @@ class JobConfig:
                     f"config line {lineno}: bad value for {key}: {value!r}"
                 ) from None
             if key in _CONFIG_CHOICES and value not in _CONFIG_CHOICES[key]:
-                raise UsageError(f"unknown {key}: {value}")
+                raise UsageError(
+                    f"config line {lineno}: unknown {key}: {value}"
+                )
         if gens:
             kwargs["gens"] = tuple(gens)
         return cls(**kwargs)
@@ -252,10 +254,10 @@ def _enumerate(
     code: cyclic.LinearCode,
     alg_closed: bool,
     word_str: Callable[[int, int], str],
-) -> tuple[int, ...] | None:
+) -> tuple[tuple[int, ...], tuple[bool, int | None]] | None:
     """Enumerate the code unless it is over the guard, and check the
     enumerated rc-closure against the algebraic one; word_str renders a
-    witness."""
+    witness.  Returns the words and their rc_closed_extensional result."""
     enumerable = code.size() <= cfg.guard
     report.emit("enumerated", enumerable)
     if not enumerable:
@@ -263,7 +265,8 @@ def _enumerate(
         return None
     words = code.words(cfg.guard)
     report.check("enumerated_size", len(words) == code.size())
-    ext_closed, witness = cyclic.rc_closed_extensional(code, words)
+    rc_closure = cyclic.rc_closed_extensional(code, words)
+    ext_closed, witness = rc_closure
     report.check(
         "rc_extensional_matches_algebraic",
         ext_closed == alg_closed,
@@ -277,7 +280,7 @@ def _enumerate(
             f"{word_str(witness, n)} whose reverse-complement "
             f"{word_str(missing, n)} is not in the code",
         )
-    return words
+    return words, rc_closure
 
 
 def _min_edit(
@@ -345,9 +348,10 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
     report.emit("subcode_u2.claim_equal", sub.equal)
     report.emit("subcode_u2.claim_inside_code", sub.claim_inside_code)
 
-    words = _enumerate(cfg, report, code, rc.rc_closed, ring64.word_str)
-    if words is None:
+    enumerated = _enumerate(cfg, report, code, rc.rc_closed, ring64.word_str)
+    if enumerated is None:
         return
+    words, rc_closure = enumerated
     gray = cyclic.gray_image_report(words, n)
     report.check("gray_linear", gray.linear)
     report.check("gray_shift6_closed", gray.shift_closed)
@@ -382,7 +386,9 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
             f"{bound.bound_min_degree}, singleton {bound.bound_singleton}",
         )
     if cfg.dna_d is not None:
-        cls = cyclic.classify_dna_code(code, words, cfg.dna_d, scan)
+        cls = cyclic.classify_dna_code(
+            code, words, cfg.dna_d, scan, rc_closure
+        )
         report.emit("dna_code", cls.is_dna_code)
         report.emit("dna_fixed_points", len(cls.fixed_points))
         report.emit("dna_max_edit", cls.max_edit)
@@ -414,9 +420,10 @@ def _verify_f2v(cfg: JobConfig, report: Report) -> None:
                 skew.poly_str(g),
             )
 
-    words = _enumerate(cfg, report, code, rc.rc_closed, skew.word_to_dna)
-    if words is None:
+    enumerated = _enumerate(cfg, report, code, rc.rc_closed, skew.word_to_dna)
+    if enumerated is None:
         return
+    words, _ = enumerated
     gray = skew.gray_image_report(words, n)
     report.check("gray_linear", gray.linear)
     report.check("gray_skew_shift2_closed", gray.skew_shift2_closed)

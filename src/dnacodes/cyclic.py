@@ -531,11 +531,13 @@ def classify_dna_code(
     words: Sequence[int],
     D: float,
     scan: metrics.MinResult,
+    rc_closure: tuple[bool, int | None],
 ) -> DnaClassification:
     """Classify the code's enumerated words at threshold D, given the
-    full all-pairs edit scan of those words (codon or nucleotide)."""
+    full all-pairs edit scan of those words (codon or nucleotide) and
+    their rc_closed_extensional result."""
     n = code.n
-    closed, witness = rc_closed_extensional(code, words)
+    closed, witness = rc_closure
     fixed = tuple(
         w for w in words if ring64.word_reverse_complement(w, n) == w
     )

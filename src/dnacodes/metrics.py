@@ -73,33 +73,73 @@ def edit_distance(
     """
     if costs is None:
         return _unit_edit_distance(x, y)
-    prev = [0.0] * (len(y) + 1)
-    for j, b in enumerate(y):
-        prev[j + 1] = prev[j] + costs.cost(GAP, b)
+    # The DP with costs looked up per call (insertions), per row
+    # (deletions) and per distinct symbol of x (substitutions), never
+    # per cell.  Each cell adds and compares in the order of the plain
+    # recurrence, so the float result is exact to the bit.
+    ins = [costs.cost(GAP, b) for b in y]
+    prev = [0.0]
+    for c in ins:
+        prev.append(prev[-1] + c)
+    sub_rows: dict[Hashable, list[float]] = {}
     for a in x:
-        cur = [prev[0] + costs.cost(a, GAP)]
-        for j, b in enumerate(y):
-            cur.append(
-                min(
-                    prev[j] + costs.cost(a, b),
-                    prev[j + 1] + costs.cost(a, GAP),
-                    cur[j] + costs.cost(GAP, b),
-                )
-            )
+        sub = sub_rows.get(a)
+        if sub is None:
+            sub = sub_rows[a] = [costs.cost(a, b) for b in y]
+        dele = costs.cost(a, GAP)
+        left = prev[0] + dele
+        cur = [left]
+        for diag, up, s, c in zip(prev, prev[1:], sub, ins):
+            # min(diag + s, up + dele, left + c), unrolled in min's order
+            best = diag + s
+            step = up + dele
+            if step < best:
+                best = step
+            step = left + c
+            if step < best:
+                best = step
+            cur.append(best)
+            left = best
         prev = cur
     return prev[-1]
 
 
 def _unit_edit_distance(x: Sequence[Hashable], y: Sequence[Hashable]) -> int:
+    """Unit-cost edit distance by Hyyrö's bit-vector form of Myers'
+    algorithm (Myers, J. ACM 46(3) 1999; Hyyrö, Nordic J. Computing
+    10(1) 2003).  The shorter sequence is the pattern; per symbol of
+    the longer one, bit i of pv (mv) marks a +1 (-1) step from row i to
+    row i + 1 of the DP column, and score follows the bottom row.
+    Python ints lift the word-length limit on the pattern."""
     if len(x) < len(y):
         x, y = y, x
-    prev = list(range(len(y) + 1))
-    for i, a in enumerate(x, 1):
-        cur = [i]
-        for j, b in enumerate(y):
-            cur.append(min(prev[j] + (a != b), prev[j + 1] + 1, cur[j] + 1))
-        prev = cur
-    return prev[-1]
+    m = len(y)
+    if not m:
+        return len(x)
+    peq: dict[Hashable, int] = {}
+    bit = 1
+    for b in y:
+        peq[b] = peq.get(b, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    top = bit >> 1
+    pv, mv, score = mask, 0, m
+    for a in x:
+        eq = peq.get(a, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        # row 0 of the global DP is 0, 1, 2, ...: shift in a +1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def hamming_distance(x: Sequence[Hashable], y: Sequence[Hashable]) -> int:

@@ -5,7 +5,9 @@ than the code under test: edit distance by exhaustive alignment enumeration
 instead of dynamic programming, polynomial products by schoolbook
 convolution instead of packed-integer shifts, irreducibility by trial
 division, and code enumeration by breadth-first closure instead of
-row-echelon span walks.  src_env is the one non-oracle helper: the
+row-echelon span walks.  dp_edit_distance is the plain per-cell edit
+distance DP, the reference for the library's bit-parallel unit-cost kernel
+and its hoisted weighted DP.  src_env is the one non-oracle helper: the
 environment for running the package from this checkout in a subprocess.
 """
 
@@ -52,6 +54,38 @@ def alignment_edit_distance(x, y, costs=None):
                 if best is None or total < best:
                     best = total
     return best
+
+
+def dp_edit_distance(x, y, costs=None):
+    """Edit distance by the O(mn) Levenshtein DP, one cost lookup per cell.
+
+    With no cost table: unit costs and an int result.
+    """
+    if costs is None:
+        if len(x) < len(y):
+            x, y = y, x
+        prev = list(range(len(y) + 1))
+        for i, a in enumerate(x, 1):
+            cur = [i]
+            for j, b in enumerate(y):
+                cur.append(min(prev[j] + (a != b), prev[j + 1] + 1, cur[j] + 1))
+            prev = cur
+        return prev[-1]
+    prev = [0.0] * (len(y) + 1)
+    for j, b in enumerate(y):
+        prev[j + 1] = prev[j] + costs.cost("-", b)
+    for a in x:
+        cur = [prev[0] + costs.cost(a, "-")]
+        for j, b in enumerate(y):
+            cur.append(
+                min(
+                    prev[j] + costs.cost(a, b),
+                    prev[j + 1] + costs.cost(a, "-"),
+                    cur[j] + costs.cost("-", b),
+                )
+            )
+        prev = cur
+    return prev[-1]
 
 
 def convolution_mul(a_bits, b_bits):

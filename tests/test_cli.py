@@ -402,13 +402,17 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
     bad_number.write_text("ring = r64\nn = seven\n")
     bad_level = tmp_path / "level.cfg"
     bad_level.write_text("ring = r64\nn = 7\ngen = u^4*(x+1)\nlevel = bogus\n")
+    bad_metric = tmp_path / "metric.cfg"
+    bad_metric.write_text("ring = r64\nmetric = bogus\nn = 7\ngen = u^4*(x+1)\n")
     bad_costs = tmp_path / "costs.csv"
     bad_costs.write_text("from,to,cost\nA,G,cheap\n")
     cases = [
         (("build-verify", "--config", str(bad_number)),
          "config line 2: bad value for n: 'seven'"),
         (("build-verify", "--config", str(bad_level), "--dna-d", "5"),
-         "unknown level: bogus"),
+         "config line 4: unknown level: bogus"),
+        (("build-verify", "--config", str(bad_metric)),
+         "config line 2: unknown metric: bogus"),
         (("build-verify", "--ring", "r64", "-n", "7",
           "--gen", "u^4*(x+1)*(x^3+x+1)", "--metric", "edit",
           "--costs", str(bad_costs)),

@@ -259,7 +259,9 @@ def test_classify_dna_code_on_table3():
     scan = metrics.min_pairwise(
         [cyclic.codon_symbols(w, 7) for w in words], metrics.edit_distance
     )
-    cls = cyclic.classify_dna_code(code, words, 6, scan)
+    cls = cyclic.classify_dna_code(
+        code, words, 6, scan, cyclic.rc_closed_extensional(code, words)
+    )
     assert not cls.rc_closed
     assert cls.min_edit == 2
     assert not cls.is_dna_code

@@ -6,7 +6,7 @@ import pytest
 
 from dnacodes import metrics
 from dnacodes.metrics import EditCostTable, MinResult
-from helpers import alignment_edit_distance
+from helpers import alignment_edit_distance, dp_edit_distance
 
 
 CODON_ALPHABET = ("GGG", "CCC", "ACT", "TGA")
@@ -35,6 +35,29 @@ def test_edit_distance_matches_alignment_oracle_unit_costs():
             x,
             y,
         )
+
+
+def test_unit_edit_distance_matches_dp_reference():
+    """The bit-parallel kernel against the per-cell DP: patterns past one
+    machine word (64 symbols), very unequal lengths, empty sides, and
+    codon-tuple, str and int symbols."""
+    rng = random.Random(0xB17)
+    symbol_kinds = (CODON_ALPHABET, "ACGT", tuple(range(6)))
+    lengths = [(0, 0), (0, 100), (100, 0), (1, 100), (100, 1), (64, 64),
+               (65, 63), (100, 100), (3, 90)]
+    lengths += [(rng.randrange(101), rng.randrange(101)) for _ in range(60)]
+    lengths += [(rng.randrange(13), rng.randrange(13)) for _ in range(300)]
+    for alphabet in symbol_kinds:
+        for m, n in lengths:
+            x = [rng.choice(alphabet) for _ in range(m)]
+            y = [rng.choice(alphabet) for _ in range(n)]
+            if isinstance(alphabet, str):
+                x, y = "".join(x), "".join(y)
+            else:
+                x, y = tuple(x), tuple(y)
+            got = metrics.edit_distance(x, y)
+            assert type(got) is int
+            assert got == dp_edit_distance(x, y), (x, y)
 
 
 def test_edit_distance_is_a_metric_on_samples():
@@ -73,6 +96,31 @@ def test_weighted_edit_distance_matches_alignment_oracle():
         y = tuple(rng.choice(symbols) for _ in range(rng.randrange(5)))
         got = metrics.edit_distance(x, y, costs)
         want = alignment_edit_distance(x, y, costs)
+        assert got == want, (trial, x, y, got, want)
+
+
+def test_weighted_edit_distance_matches_per_cell_dp_exactly():
+    """The hoisted DP adds and compares in the per-cell DP's order, so the
+    float results are equal, not merely close.  The tables have
+    fractional costs, non-zero diagonal entries and symbols they omit."""
+    rng = random.Random(0xC057)
+    symbols = ("A", "C", "G", "T")
+    for trial in range(150):
+        entries = {}
+        for a in symbols + ("-",):
+            for b in symbols + ("-",):
+                if a == b == "-" or rng.random() < 0.2:
+                    continue
+                if a == b:
+                    entries[(a, b)] = rng.choice((0.0, rng.uniform(0, 0.5)))
+                else:
+                    entries[(a, b)] = rng.uniform(0.1, 3.0)
+        costs = EditCostTable(entries)
+        alphabet = symbols + ("N",)
+        x = "".join(rng.choice(alphabet) for _ in range(rng.randrange(31)))
+        y = "".join(rng.choice(alphabet) for _ in range(rng.randrange(31)))
+        got = metrics.edit_distance(x, y, costs)
+        want = dp_edit_distance(x, y, costs)
         assert got == want, (trial, x, y, got, want)
 
 
