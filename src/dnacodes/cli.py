@@ -254,10 +254,11 @@ def _enumerate(
     code: cyclic.LinearCode,
     alg_closed: bool,
     word_str: Callable[[int, int], str],
-) -> tuple[tuple[int, ...], tuple[bool, int | None]] | None:
+) -> tuple[tuple[int, ...], set[int], tuple[bool, int | None]] | None:
     """Enumerate the code unless it is over the guard, and check the
     enumerated rc-closure against the algebraic one; word_str renders a
-    witness.  Returns the words and their rc_closed_extensional result."""
+    witness.  Returns the sorted words, their set and their
+    rc_closed_extensional result."""
     enumerable = code.size() <= cfg.guard
     report.emit("enumerated", enumerable)
     if not enumerable:
@@ -265,7 +266,8 @@ def _enumerate(
         return None
     words = code.words(cfg.guard)
     report.check("enumerated_size", len(words) == code.size())
-    rc_closure = cyclic.rc_closed_extensional(code, words)
+    word_set = set(words)
+    rc_closure = cyclic.rc_closed_extensional(code, word_set)
     ext_closed, witness = rc_closure
     report.check(
         "rc_extensional_matches_algebraic",
@@ -280,7 +282,7 @@ def _enumerate(
             f"{word_str(witness, n)} whose reverse-complement "
             f"{word_str(missing, n)} is not in the code",
         )
-    return words, rc_closure
+    return words, word_set, rc_closure
 
 
 def _min_edit(
@@ -351,8 +353,8 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
     enumerated = _enumerate(cfg, report, code, rc.rc_closed, ring64.word_str)
     if enumerated is None:
         return
-    words, rc_closure = enumerated
-    gray = cyclic.gray_image_report(words, n)
+    words, word_set, rc_closure = enumerated
+    gray = cyclic.gray_image_report(words, n, word_set)
     report.check("gray_linear", gray.linear)
     report.check("gray_shift6_closed", gray.shift_closed)
 
@@ -423,7 +425,7 @@ def _verify_f2v(cfg: JobConfig, report: Report) -> None:
     enumerated = _enumerate(cfg, report, code, rc.rc_closed, skew.word_to_dna)
     if enumerated is None:
         return
-    words, _ = enumerated
+    words = enumerated[0]
     gray = skew.gray_image_report(words, n)
     report.check("gray_linear", gray.linear)
     report.check("gray_skew_shift2_closed", gray.skew_shift2_closed)

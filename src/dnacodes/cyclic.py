@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import codons, metrics, ring64
 from .gf2poly import (
@@ -119,6 +120,50 @@ class Echelon:
             w ^= basis[(k & -k).bit_length() - 1]
             out.append(w)
         return out
+
+
+def linear_basis(
+    word_set: set[int] | frozenset[int], first: Iterable[int] = ()
+) -> tuple[int, ...] | None:
+    """A basis of word_set if it is an F2-subspace, else None.
+
+    The set is linear iff it holds 0, has 2^k members, and the span of
+    k independent members lies inside it.  Those members are taken from
+    the candidates in first (non-members skipped), then from the set
+    itself.  In an ascending linear list the words at positions 1, 2, 4,
+    ... are its reduced echelon basis, so those make good candidates.
+    The 2^k span words are tested in 2^(k - k//2) blocks: one word of
+    the span of the last rows XORed with each word of the span of the
+    first k//2 rows, so no list of 2^k words is built.
+    """
+    size = len(word_set)
+    if 0 not in word_set or size & (size - 1):
+        return None
+    k = size.bit_length() - 1
+    ech = Echelon()
+    for w in chain(first, word_set):
+        if ech.dim == k:
+            break
+        if w in word_set:
+            ech.add(w)
+    basis = ech.basis()
+    low = Echelon(basis[: k // 2]).span()
+    for high in Echelon(basis[k // 2 :]).span():
+        if not word_set.issuperset(map(high.__xor__, low)):
+            return None
+    return basis
+
+
+def closed_under(
+    word_set: set[int] | frozenset[int],
+    f: Callable[[int], int],
+    basis: Sequence[int] | None,
+) -> bool:
+    """Whether f maps word_set into itself.  For an F2-linear f and a
+    linear set it is enough that f maps a basis in (pass linear_basis's
+    result); with basis None every word is checked."""
+    words = word_set if basis is None else basis
+    return all(f(w) in word_set for w in words)
 
 
 class LinearCode:
@@ -562,20 +607,32 @@ class GrayImageReport:
     shift_bits: int
 
 
-def gray_image_report(words: Iterable[int], n: int) -> GrayImageReport:
+def basis_candidates(words: Iterable[int]) -> list[int]:
+    """The words at positions 1, 2, 4, ... of a sequence, the candidates
+    linear_basis tries first; none for an unordered collection."""
+    if not isinstance(words, Sequence):
+        return []
+    return [words[1 << j] for j in range(max(len(words) - 1, 0).bit_length())]
+
+
+def gray_image_report(
+    words: Iterable[int],
+    n: int,
+    word_set: set[int] | frozenset[int] | None = None,
+) -> GrayImageReport:
     """The binary Gray image of a packed word is the word itself read as
     6n bits, so the image of a cyclic code must be XOR-closed and closed
-    under rotation by 6 bits."""
-    word_set = set(words)
-    ech = Echelon(word_set)
-    linear = len(word_set) == 1 << ech.dim and 0 in word_set
-    shift_closed = all(
-        ring64.word_shift(w, n) in word_set for w in word_set
-    )
+    under rotation by 6 bits.  word_set is set(words) if the caller has
+    built it already."""
+    if word_set is None:
+        word_set = set(words)
+    basis = linear_basis(word_set, basis_candidates(words))
     return GrayImageReport(
         bit_length=6 * n,
-        linear=linear,
-        shift_closed=shift_closed,
+        linear=basis is not None,
+        shift_closed=closed_under(
+            word_set, lambda w: ring64.word_shift(w, n), basis
+        ),
         shift_bits=6,
     )
 
@@ -682,6 +739,8 @@ __all__ = [
     "validate_tower",
     "tower_str",
     "Echelon",
+    "linear_basis",
+    "closed_under",
     "word_to_levelmajor",
     "levelmajor_to_word",
     "TorsionLevel",
@@ -701,6 +760,7 @@ __all__ = [
     "codon_symbols",
     "classify_dna_code",
     "GrayImageReport",
+    "basis_candidates",
     "gray_image_report",
     "EditBoundCheck",
     "edit_bound_check",

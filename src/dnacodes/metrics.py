@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Hashable, Iterable, Sequence
 
 from . import ring64
@@ -21,12 +23,16 @@ class EditCostTable:
     Costs are looked up as cost(a, b) where either side may be the gap
     symbol "-": cost("-", b) is an insertion of b, cost(a, "-") a
     deletion of a.  Missing entries fall back to the unit cost
-    (0 on the diagonal, 1 elsewhere).
+    (0 on the diagonal, 1 elsewhere).  Every cost is a finite number
+    >= 0: nan would drop out of every comparison, and inf has no
+    "forbidden operation" meaning here.
     """
 
     def __init__(self, entries: dict[tuple[str, str], float] | None = None):
         self._entries = dict(entries or {})
         for (a, b), c in self._entries.items():
+            if not math.isfinite(c):
+                raise ValueError(f"cost for ({a},{b}) must be finite, got {c}")
             if c < 0:
                 raise ValueError(f"negative cost for ({a},{b}): {c}")
             if a == GAP and b == GAP:
@@ -42,10 +48,12 @@ class EditCostTable:
         """Parse rows of (from_symbol, to_symbol, cost); "-" is the gap.
 
         A first row whose cost column is not numeric is taken as a
-        header and skipped.
+        header and skipped.  A nan or infinite cost is an error that
+        names its line.
         """
         entries: dict[tuple[str, str], float] = {}
-        for idx, row in enumerate(csv.reader(io.StringIO(text))):
+        reader = csv.reader(io.StringIO(text))
+        for idx, row in enumerate(reader):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != 3:
@@ -57,6 +65,11 @@ class EditCostTable:
                 if idx == 0:
                     continue
                 raise ValueError(f"bad cost value {cell!r}") from None
+            if not math.isfinite(cost):
+                raise ValueError(
+                    f"cost table line {reader.line_num}: cost must be "
+                    f"a finite number, got {cell!r}"
+                )
             entries[(a, b)] = cost
         return cls(entries)
 
@@ -202,10 +215,10 @@ def min_nonzero_hamming_weight(words: Iterable[int], n: int) -> int:
     For a code closed under addition the minimum pairwise distance
     equals the minimum weight of a nonzero codeword.
     """
-    best = n + 1
-    for w in words:
-        if w:
-            best = min(best, ring64.word_hamming_weight(w, n))
+    best = min(
+        map(ring64.word_hamming_weight, filter(None, words), repeat(n)),
+        default=n + 1,
+    )
     if best > n:
         raise ValueError("no nonzero words")
     return best

@@ -194,7 +194,10 @@ def word_lee_weight(w: int) -> int:
 
 def word_hamming_weight(w: int, n: int) -> int:
     """Number of non-zero coordinates."""
-    t = w | (w >> 1) | (w >> 2) | (w >> 3) | (w >> 4) | (w >> 5)
+    # fold each 6-bit lane onto its lowest bit
+    t = w | (w >> 1)
+    t |= t >> 2
+    t |= t >> 2
     return (t & _lane_lsb_mask(n)).bit_count()
 
 

@@ -17,7 +17,13 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from . import codons
-from .cyclic import Echelon, LinearCode, RcTally
+from .cyclic import (
+    LinearCode,
+    RcTally,
+    basis_candidates,
+    closed_under,
+    linear_basis,
+)
 from .gf2poly import Gf2Poly, divisors_of_xn_minus_1, split_top_level
 
 # -- scalars -------------------------------------------------------------
@@ -250,16 +256,6 @@ def word_scale_v(w: int, n: int) -> int:
     return (a ^ b) << 1
 
 
-def word_scale(w: int, c: int, n: int) -> int:
-    if c == ZERO:
-        return 0
-    if c == ONE:
-        return w
-    if c == V:
-        return word_scale_v(w, n)
-    return w ^ word_scale_v(w, n)
-
-
 def skew_shift(w: int, n: int) -> int:
     """(c0,...,c_{n-1}) -> (theta(c_{n-1}), theta(c0), ...)."""
     rotated = ((w << LANE) | (w >> (LANE * (n - 1)))) & full_mask(n)
@@ -349,18 +345,24 @@ class SkewGrayReport:
 
 
 def gray_image_report(words: Iterable[int], n: int) -> SkewGrayReport:
+    """gray_image is F2-linear and bijective, so the images of the
+    words at cyclic.basis_candidates positions are the candidates for a
+    basis of the image."""
     image = {gray_image(w, n) for w in words}
-    ech = Echelon(image)
-    linear = len(image) == 1 << ech.dim and 0 in image
+    basis = linear_basis(
+        image, [gray_image(w, n) for w in basis_candidates(words)]
+    )
     return SkewGrayReport(
         bit_length=2 * n,
-        linear=linear,
-        skew_shift2_closed=all(
-            gray_skew_shift(y, n) in image for y in image
+        linear=basis is not None,
+        skew_shift2_closed=closed_under(
+            image, lambda y: gray_skew_shift(y, n), basis
         ),
-        plain_shift2_closed=all(plain_shift(y, n) in image for y in image),
-        plain_shift4_closed=all(
-            plain_shift(y, n, 2) in image for y in image
+        plain_shift2_closed=closed_under(
+            image, lambda y: plain_shift(y, n), basis
+        ),
+        plain_shift4_closed=closed_under(
+            image, lambda y: plain_shift(y, n, 2), basis
         ),
     )
 
@@ -626,7 +628,6 @@ __all__ = [
     "unpack_word",
     "word_theta",
     "word_scale_v",
-    "word_scale",
     "skew_shift",
     "word_reverse",
     "word_hamming_weight",

@@ -7,8 +7,11 @@ convolution instead of packed-integer shifts, irreducibility by trial
 division, and code enumeration by breadth-first closure instead of
 row-echelon span walks.  dp_edit_distance is the plain per-cell edit
 distance DP, the reference for the library's bit-parallel unit-cost kernel
-and its hoisted weighted DP.  src_env is the one non-oracle helper: the
-environment for running the package from this checkout in a subprocess.
+and its hoisted weighted DP.  reference_gray_report_r64/_skew are the Gray
+image reports by an Echelon over every word plus a per-word closure loop,
+the reference for the library's basis certificates.  src_env is the one
+non-oracle helper: the environment for running the package from this
+checkout in a subprocess.
 """
 
 import os
@@ -88,6 +91,45 @@ def dp_edit_distance(x, y, costs=None):
     return prev[-1]
 
 
+def _linear_by_echelon(word_set):
+    from dnacodes.cyclic import Echelon
+
+    return len(word_set) == 1 << Echelon(word_set).dim and 0 in word_set
+
+
+def reference_gray_report_r64(words, n):
+    """cyclic.gray_image_report, checking every word."""
+    from dnacodes import cyclic, ring64
+
+    word_set = set(words)
+    return cyclic.GrayImageReport(
+        bit_length=6 * n,
+        linear=_linear_by_echelon(word_set),
+        shift_closed=all(
+            ring64.word_shift(w, n) in word_set for w in word_set
+        ),
+        shift_bits=6,
+    )
+
+
+def reference_gray_report_skew(words, n):
+    """skew.gray_image_report, checking every word of the image."""
+    from dnacodes import skew
+
+    image = {skew.gray_image(w, n) for w in words}
+    return skew.SkewGrayReport(
+        bit_length=2 * n,
+        linear=_linear_by_echelon(image),
+        skew_shift2_closed=all(
+            skew.gray_skew_shift(y, n) in image for y in image
+        ),
+        plain_shift2_closed=all(skew.plain_shift(y, n) in image for y in image),
+        plain_shift4_closed=all(
+            skew.plain_shift(y, n, 2) in image for y in image
+        ),
+    )
+
+
 def convolution_mul(a_bits, b_bits):
     """GF(2) product of two coefficient lists (lowest degree first)."""
     if not a_bits or not b_bits:
@@ -159,3 +201,35 @@ def closure_skew_words(generators, n):
         lambda w: skew.skew_shift(w, n),
         [lambda w: skew.word_scale_v(w, n)],
     )
+
+
+def gray_report_inputs(code, bits):
+    """Word collections around a linear code's sorted words, for checking
+    a Gray report against its reference: the code as a sorted, reversed
+    and shuffled list and as a set; without 0; one word more or fewer;
+    and every nonzero word in turn swapped for an outsider, a random
+    bits-bit word not in the code."""
+    import random
+
+    rng = random.Random(code.size())
+    outsiders = []
+    while len(outsiders) < 8:
+        w = rng.getrandbits(bits)
+        if not code.contains(w):
+            outsiders.append(w)
+    words = code.words()
+    word_set = set(words)
+    shuffled = list(words)
+    rng.shuffle(shuffled)
+    x = outsiders[0]
+    yield "sorted", words
+    yield "reversed", words[::-1]
+    yield "shuffled", shuffled
+    yield "set", word_set
+    yield "no zero", words[1:]
+    yield "no zero, 2^k words", sorted(word_set - {0} | {x})
+    yield "one word more", sorted(word_set | {x})
+    yield "one word fewer", words[:-1]
+    for i, w in enumerate(words[1:]):
+        swapped = word_set - {w} | {outsiders[i % len(outsiders)]}
+        yield f"word {w:#x} swapped", sorted(swapped)

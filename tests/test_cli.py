@@ -47,6 +47,9 @@ ROOT = Path(__file__).resolve().parent.parent
          ["build-verify", "--ring", "r64", "-n", "7",
           "--gen", "u^4*(x+1)*(x^3+x+1)", "--level", "nucleotide",
           "--costs", str(EXPECTED / "weighted_costs.csv"), "--dna-d", "12"]),
+        ("r64_n7_2e16_hamming", 0,
+         ["build-verify", "--ring", "r64", "-n", "7",
+          "--gen", "u^2*(x^3+x+1)", "--metric", "hamming"]),
     ],
 )
 def test_report_text_is_pinned(capsys, name, exit_code, argv):
@@ -430,6 +433,24 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err == f"error: {message}\n", argv
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_cost_is_a_usage_error_naming_the_line(capsys, tmp_path, cell):
+    # a nan cost used to drop out of the pair scan's comparisons
+    costs = tmp_path / "costs.csv"
+    costs.write_text(f"from,to,cost\nA,G,0.5\nA,C,{cell}\n")
+    code, out, err = run(
+        capsys, "build-verify", "--ring", "r64", "-n", "7",
+        "--gen", "u^4*(x+1)*(x^3+x+1)", "--metric", "edit",
+        "--level", "nucleotide", "--costs", str(costs),
+    )
+    assert code == 2
+    assert "min_edit" not in out
+    assert err == (
+        f"error: cost table line 3: cost must be a finite number, "
+        f"got '{cell}'\n"
+    )
 
 
 def test_library_value_error_is_not_a_usage_error(monkeypatch):

@@ -15,7 +15,12 @@ from dnacodes.cyclic import (
     single_generator_code,
 )
 from dnacodes.gf2poly import Gf2Poly, GuardExceeded, x_pow_n_minus_1
-from helpers import closure_r_words, src_env
+from helpers import (
+    closure_r_words,
+    gray_report_inputs,
+    reference_gray_report_r64,
+    src_env,
+)
 
 
 F0 = Gf2Poly.from_string("x+1")
@@ -306,3 +311,58 @@ def test_contains_and_spanning_words():
     for w in code.words(2**16):
         assert code.contains(ring64.word_shift(w, 7))
         assert code.contains(ring64.word_scale_u(w, 7))
+
+
+def test_gray_report_matches_reference_on_codes_and_non_codes():
+    # the basis certificate against an Echelon over every word and a
+    # per-word shift loop, on linear sets in any order and on sets that
+    # break linearity in each way the certificate tests
+    codes = [
+        single_generator_code(3, 2, Gf2Poly.from_string("x+1")),
+        single_generator_code(5, 5, Gf2Poly.from_string("1")),
+        table3_code(),
+    ]
+    for code in codes:
+        for label, inputs in gray_report_inputs(code, 6 * code.n):
+            got = cyclic.gray_image_report(inputs, code.n)
+            assert got == reference_gray_report_r64(inputs, code.n), (
+                code, label)
+
+
+def test_gray_report_on_linear_sets_that_are_not_shift_closed():
+    rng = random.Random(11)
+    n = 4
+    checked = 0
+    for dim in (1, 1, 1, 2, 2, 3, 5):
+        vectors = [rng.getrandbits(6 * n) for _ in range(dim)]
+        words = Echelon(vectors).span()
+        for inputs in (sorted(words), words, set(words)):
+            got = cyclic.gray_image_report(inputs, n)
+            want = reference_gray_report_r64(inputs, n)
+            assert got == want
+            assert got.linear
+            checked += not got.shift_closed
+    assert checked >= 15
+
+
+def test_linear_basis_and_closed_under():
+    code = table3_code()
+    words = code.words(2**12)
+    word_set = set(words)
+    basis = cyclic.linear_basis(word_set, cyclic.basis_candidates(words))
+    assert basis is not None
+    assert len(basis) == code.dim
+    assert Echelon(basis).dim == code.dim
+    assert all(code.contains(b) for b in basis)
+    # candidates that are not members are skipped
+    assert cyclic.linear_basis(word_set, [1, 3, 5]) is not None
+    assert cyclic.linear_basis(set(), []) is None
+    assert cyclic.linear_basis({0}, []) == ()
+    assert cyclic.linear_basis(word_set - {words[-1]}) is None
+    shift = lambda w: ring64.word_shift(w, 7)
+    assert cyclic.closed_under(word_set, shift, basis)
+    assert cyclic.closed_under(word_set, shift, None)
+    w = words[5]
+    pair = {0, w}
+    assert not cyclic.closed_under(pair, shift, cyclic.linear_basis(pair))
+    assert not cyclic.closed_under(pair, shift, None)

@@ -155,6 +155,15 @@ def test_cost_table_rejects_bad_rows():
         EditCostTable.from_csv("A,B")
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_cost_table_rejects_nan_and_inf_naming_the_line(cell):
+    text = f"from,to,cost\nA,G,0.5\nA,C,{cell}\n"
+    with pytest.raises(ValueError, match=f"^cost table line 3: .*'{cell}'$"):
+        EditCostTable.from_csv(text)
+    with pytest.raises(ValueError, match="must be finite"):
+        EditCostTable({("A", "C"): float(cell)})
+
+
 def test_hamming_distance():
     assert metrics.hamming_distance("GGG", "GGC") == 1
     assert metrics.hamming_distance((1, 2, 3), (1, 2, 3)) == 0

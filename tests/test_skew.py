@@ -7,7 +7,11 @@ import pytest
 from dnacodes import cyclic, skew
 from dnacodes.gf2poly import Gf2Poly
 from dnacodes.skew import ONE, V, V1, ZERO, SkewCode, SkewCodeError
-from helpers import closure_skew_words
+from helpers import (
+    closure_skew_words,
+    gray_report_inputs,
+    reference_gray_report_skew,
+)
 
 
 def random_poly(rng, max_deg=6):
@@ -383,3 +387,38 @@ def test_search_codes_containing_finds_known_code():
     # code can contain it
     res_neg = skew.search_codes_containing(["AGGGGGGGGG"], 10)
     assert res_neg.matches == []
+
+
+def test_gray_report_matches_reference_on_codes_and_non_codes():
+    # the basis certificate against an Echelon over the whole image and
+    # per-word loops for all three shifts
+    codes = [
+        SkewCode.from_case3(2, (V,)),
+        SkewCode.from_case1(4, skew.parse_skew_poly("x^2+1")),
+        SkewCode.from_case1(6, skew.parse_skew_poly("x^3+1")),
+        SkewCode.from_case1(8, skew.parse_skew_poly("x^4+v*x^3+v*x+1")),
+    ]
+    for code in codes:
+        n = code.n
+        for label, inputs in gray_report_inputs(code, 2 * n):
+            got = skew.gray_image_report(inputs, n)
+            assert got == reference_gray_report_skew(inputs, n), (code, label)
+
+
+def test_gray_report_on_linear_sets_that_are_not_shift_closed():
+    rng = random.Random(12)
+    n = 4
+    open_sets = 0
+    for dim in (1, 1, 1, 2, 2, 3, 5):
+        vectors = [rng.getrandbits(2 * n) for _ in range(dim)]
+        words = cyclic.Echelon(vectors).span()
+        for inputs in (sorted(words), words, set(words)):
+            got = skew.gray_image_report(inputs, n)
+            assert got == reference_gray_report_skew(inputs, n)
+            assert got.linear
+            open_sets += not (
+                got.skew_shift2_closed
+                and got.plain_shift2_closed
+                and got.plain_shift4_closed
+            )
+    assert open_sets >= 15
