@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 from . import codons, cyclic, metrics, reference_tables, ring64, skew
 from .gf2poly import Gf2Poly, GuardExceeded, factor_xn_minus_1, split_top_level
 
-DEFAULT_GUARD = 2**20
 # above this many words build-verify skips its edit scans unless --metric edit
 EDIT_SCAN_MAX_WORDS = 1024
 
@@ -54,7 +53,7 @@ class JobConfig:
     case: int | None = None
     metric: str = "all"
     level: str = "codon"
-    guard: int = DEFAULT_GUARD
+    guard: int = cyclic.DEFAULT_GUARD
     fmt: str = "report"
     out: str | None = None
     which: int | None = None
@@ -158,6 +157,8 @@ def build_r64_code(cfg: JobConfig) -> cyclic.CyclicCodeR:
         raise UsageError("length -n is required")
     if cfg.n < 1:
         raise UsageError("need n >= 1")
+    if cfg.case is not None:
+        raise UsageError("--case is for --ring f2v, not r64")
     if cfg.tower and cfg.gens:
         raise UsageError("give either --tower or --gen, not both")
     try:
@@ -174,6 +175,8 @@ def build_r64_code(cfg: JobConfig) -> cyclic.CyclicCodeR:
 def build_skew_code(cfg: JobConfig) -> skew.SkewCode:
     if cfg.n is None:
         raise UsageError("length -n is required")
+    if cfg.tower is not None:
+        raise UsageError("--tower is for --ring r64, not f2v")
     if not cfg.gens:
         raise UsageError("f2v codes need at least one --gen")
     try:
@@ -397,6 +400,10 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
 
 
 def _verify_f2v(cfg: JobConfig, report: Report) -> None:
+    if cfg.dna_d is not None:
+        raise UsageError("--dna-d is for --ring r64, not f2v")
+    if cfg.metric == "lee":
+        raise UsageError("--metric lee is for --ring r64, not f2v")
     code = build_skew_code(cfg)
     n = code.n
     report.emit("ring", "f2v")

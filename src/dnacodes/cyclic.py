@@ -70,7 +70,8 @@ def tower_str(polys: Sequence[Gf2Poly]) -> str:
 
 
 class Echelon:
-    """Incremental row-echelon basis for packed bit vectors over F2."""
+    """Incremental reduced row-echelon basis for packed bit vectors over
+    F2: each row is 0 at every other row's lead bit, so span() ascends."""
 
     __slots__ = ("_rows",)
 
@@ -80,20 +81,20 @@ class Echelon:
             self.add(v)
 
     def reduce(self, v: int) -> int:
-        rows = self._rows
-        while v:
-            lead = v.bit_length() - 1
-            row = rows.get(lead)
-            if row is None:
-                return v
-            v ^= row
-        return 0
+        for lead, row in self._rows.items():
+            if v >> lead & 1:
+                v ^= row
+        return v
 
     def add(self, v: int) -> bool:
         v = self.reduce(v)
         if not v:
             return False
-        self._rows[v.bit_length() - 1] = v
+        lead, rows = v.bit_length() - 1, self._rows
+        for k, row in rows.items():
+            if row >> lead & 1:
+                rows[k] = row ^ v
+        rows[lead] = v
         return True
 
     def contains(self, v: int) -> bool:
@@ -107,18 +108,15 @@ class Echelon:
         return tuple(self._rows[k] for k in sorted(self._rows, reverse=True))
 
     def span(self, guard: int = DEFAULT_GUARD) -> list[int]:
-        """All 2^dim spanned vectors, one XOR per step (Gray-walk order)."""
+        """All 2^dim spanned vectors, ascending (rows added by lead)."""
         if 1 << self.dim > guard:
             raise GuardExceeded(
                 f"span has {1 << self.dim} words, above the guard {guard}",
                 1 << self.dim,
             )
-        basis = self.basis()
         out = [0]
-        w = 0
-        for k in range(1, 1 << len(basis)):
-            w ^= basis[(k & -k).bit_length() - 1]
-            out.append(w)
+        for _, row in sorted(self._rows.items()):
+            out += [w ^ row for w in out]
         return out
 
 
@@ -207,8 +205,8 @@ class LinearCode:
         return self._echelon.basis()
 
     def words(self, guard: int = DEFAULT_GUARD) -> tuple[int, ...]:
-        """The full word set, sorted; raises GuardExceeded when too big."""
-        return tuple(sorted(self._echelon.span(guard)))
+        """The full word set, ascending; raises GuardExceeded when too big."""
+        return tuple(self._echelon.span(guard))
 
     def contains_code(self, other: "LinearCode") -> bool:
         return all(self.contains(b) for b in other.basis())

@@ -47,28 +47,28 @@ class EditCostTable:
     def from_csv(cls, text: str) -> "EditCostTable":
         """Parse rows of (from_symbol, to_symbol, cost); "-" is the gap.
 
-        A first row whose cost column is not numeric is taken as a
-        header and skipped.  A nan or infinite cost is an error that
-        names its line.
+        A first row whose cost column reads "cost" (any case) is a
+        header and skipped.  A row without 3 columns, or whose cost is
+        not a finite number, is an error that names its line.
         """
         entries: dict[tuple[str, str], float] = {}
         reader = csv.reader(io.StringIO(text))
         for idx, row in enumerate(reader):
             if not row or all(not c.strip() for c in row):
                 continue
+            where = f"cost table line {reader.line_num}"
             if len(row) != 3:
-                raise ValueError(f"cost row needs 3 columns: {row!r}")
+                raise ValueError(f"{where}: cost row needs 3 columns: {row!r}")
             a, b, cell = (c.strip() for c in row)
+            if idx == 0 and cell.lower() == "cost":
+                continue
             try:
                 cost = float(cell)
             except ValueError:
-                if idx == 0:
-                    continue
-                raise ValueError(f"bad cost value {cell!r}") from None
+                raise ValueError(f"{where}: bad cost value {cell!r}") from None
             if not math.isfinite(cost):
                 raise ValueError(
-                    f"cost table line {reader.line_num}: cost must be "
-                    f"a finite number, got {cell!r}"
+                    f"{where}: cost must be a finite number, got {cell!r}"
                 )
             entries[(a, b)] = cost
         return cls(entries)

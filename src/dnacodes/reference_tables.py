@@ -235,7 +235,7 @@ def regenerate_table1() -> TableReport:
     return report
 
 
-def regenerate_table2(guard: int = 2**20) -> TableReport:
+def regenerate_table2(guard: int = cyclic.DEFAULT_GUARD) -> TableReport:
     factors = table2_factors()
     report = TableReport(
         which=2,
@@ -294,10 +294,10 @@ def table3_code() -> "cyclic.CyclicCodeR":
     return cyclic.single_generator_code(7, 4, factors["f0*f1"])
 
 
-def regenerate_table3(guard: int = 2**20) -> TableReport:
+def regenerate_table3(guard: int = cyclic.DEFAULT_GUARD) -> TableReport:
     table = codons.canonical_table()
     code = table3_code()
-    words = sorted(code.words(guard))
+    words = code.words(guard)
     strings = [table.encode_word(w, 7) for w in words]
     codon_words = [cyclic.codon_symbols(w, 7) for w in words]
     min_edit_codon = metrics.min_pairwise(codon_words, metrics.edit_distance)
@@ -391,16 +391,13 @@ def regenerate_table5() -> TableReport:
         report.diff_rows.append(
             (w, "printed", f"plain complement {codons.dna_complement(w)} missing")
         )
-    words = [skew.dna_to_word(s) for s in printed]
-    wset = set(words)
-    n = 10
-    xor_closed = all(
-        words[i] ^ words[j] in wset
-        for i in range(len(words))
-        for j in range(i + 1, len(words))
+    # the printed set holds the zero word, so XOR-closure is linearity
+    wset = {skew.dna_to_word(s) for s in printed}
+    basis = cyclic.linear_basis(wset)
+    shift_closed = cyclic.closed_under(
+        wset, lambda w: skew.skew_shift(w, 10), basis
     )
-    shift_closed = all(skew.skew_shift(w, n) in wset for w in wset)
-    report.notes.append(f"xor_closed: {xor_closed}")
+    report.notes.append(f"xor_closed: {basis is not None}")
     report.notes.append(f"skew_shift_closed: {shift_closed}")
     search = skew.search_codes_containing(PRINTED_SKEW_CODE, 10)
     report.notes.append(f"generator_candidates_tested: {search.candidates}")
@@ -414,7 +411,7 @@ def regenerate_table5() -> TableReport:
     return report
 
 
-def regenerate(which: int, guard: int = 2**20) -> TableReport:
+def regenerate(which: int, guard: int = cyclic.DEFAULT_GUARD) -> TableReport:
     builders = {
         1: regenerate_table1,
         2: lambda: regenerate_table2(guard),

@@ -419,7 +419,7 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
         (("build-verify", "--ring", "r64", "-n", "7",
           "--gen", "u^4*(x+1)*(x^3+x+1)", "--metric", "edit",
           "--costs", str(bad_costs)),
-         "bad cost value 'cheap'"),
+         "cost table line 2: bad cost value 'cheap'"),
         (("build-verify", "--ring", "r64", "-n", "7",
           "--gen", "u^0*(x^7+1)", "--dna-d", "3"),  # a one-word code
          "--dna-d needs a code of at least two words"),
@@ -428,6 +428,24 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
         (("build-verify", "--ring", "r64", "-n", "0",
           "--tower", ",".join(["x+1"] * 6)),
          "need n >= 1"),
+        (("build-verify", "--ring", "f2v", "-n", "8", "--gen", "x^2+v*x+1",
+          "--tower", ",".join(["x+1"] * 6)),
+         "--tower is for --ring r64, not f2v"),
+        (("export", "--ring", "f2v", "-n", "8", "--gen", "x^2+v*x+1",
+          "--tower", ",".join(["x+1"] * 6), "--format", "csv"),
+         "--tower is for --ring r64, not f2v"),
+        (("build-verify", "--ring", "f2v", "-n", "8", "--gen", "x^2+v*x+1",
+          "--dna-d", "3"),
+         "--dna-d is for --ring r64, not f2v"),
+        (("build-verify", "--ring", "f2v", "-n", "8", "--gen", "x^2+v*x+1",
+          "--metric", "lee"),
+         "--metric lee is for --ring r64, not f2v"),
+        (("build-verify", "--ring", "r64", "-n", "7", "--gen", "u^4*(x+1)",
+          "--case", "2"),
+         "--case is for --ring f2v, not r64"),
+        (("export", "--ring", "r64", "-n", "7", "--gen", "u^4*(x+1)",
+          "--case", "2", "--format", "csv"),
+         "--case is for --ring f2v, not r64"),
     ]
     for argv, message in cases:
         code, _, err = run(capsys, *argv)

@@ -16,6 +16,7 @@ from dnacodes.cyclic import (
 )
 from dnacodes.gf2poly import Gf2Poly, GuardExceeded, x_pow_n_minus_1
 from helpers import (
+    bfs_closure,
     closure_r_words,
     gray_report_inputs,
     reference_gray_report_r64,
@@ -45,6 +46,36 @@ def test_echelon_dim_and_membership():
         for v in list(span)[:16]:
             assert ech.contains(v)
         assert sorted(ech.span()) == sorted(span)
+
+
+@pytest.mark.parametrize("lane", [6, 2])
+def test_echelon_rows_reduced_and_span_ascending(lane):
+    # random vectors of 6n-bit (r64) or 2n-bit (skew) words, some of them
+    # dependent, added in no particular order
+    rng = random.Random(70 + lane)
+    for _ in range(40):
+        bits = lane * rng.randrange(1, 6)
+        vecs = [rng.getrandbits(bits) for _ in range(rng.randrange(8))]
+        if len(vecs) > 2:
+            vecs.append(vecs[0] ^ vecs[1])
+        rng.shuffle(vecs)
+        ech = Echelon(vecs)
+        rows = ech.basis()
+        leads = [r.bit_length() - 1 for r in rows]
+        for i, row in enumerate(rows):
+            assert all(row >> lead & 1 == (i == j) for j, lead in enumerate(leads))
+        span = ech.span()
+        assert all(a < b for a, b in zip(span, span[1:]))
+        assert span == sorted(bfs_closure(vecs, lambda w: w, []))
+
+
+def test_words_come_out_ascending():
+    for n in (3, 5):
+        for tower in iter_admissible_towers(n):
+            code = CyclicCodeR.from_tower(n, tower)
+            if code.dim <= 12:
+                words = code.words()
+                assert words == tuple(sorted(set(words)))
 
 
 def test_echelon_span_guard():

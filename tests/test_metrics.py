@@ -155,6 +155,14 @@ def test_cost_table_rejects_bad_rows():
         EditCostTable.from_csv("A,B")
 
 
+def test_cost_table_header_only_where_the_cost_column_reads_cost():
+    assert EditCostTable.from_csv("From,To,COST\nA,G,0.5\n").cost("A", "G") == 0.5
+    with pytest.raises(ValueError, match="^cost table line 1: bad cost value '0..5'$"):
+        EditCostTable.from_csv("A,C,0..5\nA,G,0.5")
+    with pytest.raises(ValueError, match="^cost table line 2: cost row needs 3 columns"):
+        EditCostTable.from_csv("from,to,cost\nA,G\n")
+
+
 @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
 def test_cost_table_rejects_nan_and_inf_naming_the_line(cell):
     text = f"from,to,cost\nA,G,0.5\nA,C,{cell}\n"

@@ -287,6 +287,15 @@ def test_enumeration_matches_bfs_closure():
         assert words == closure
 
 
+def test_words_come_out_ascending():
+    codes = [SkewCode.from_case3(4, (V1, V1)), SkewCode.from_case3(6, (V,))]
+    for n in (4, 6):
+        codes += [SkewCode.from_case1(n, g) for g in skew.monic_right_divisors(n)]
+    for code in codes:
+        words = code.words(2**14)
+        assert words == tuple(sorted(set(words)))
+
+
 def test_monic_right_divisor_counts_frozen():
     expected = {2: 1, 4: 5, 6: 11, 8: 29, 10: 31}
     for n, count in expected.items():
