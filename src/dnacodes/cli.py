@@ -18,7 +18,7 @@ import argparse
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import codons, cyclic, metrics, reference_tables, ring64, skew
 from .gf2poly import Gf2Poly, GuardExceeded, factor_xn_minus_1, split_top_level
@@ -35,26 +35,62 @@ class UsageError(ValueError):
 
 METRICS = ("hamming", "lee", "edit", "all")
 LEVELS = ("codon", "nucleotide")
-_CONFIG_TYPES = {"n": int, "case": int, "which": int, "guard": int, "dna_d": float}
-# keys whose values nothing past parsing checks
-_CONFIG_CHOICES = {"metric": METRICS, "level": LEVELS}
+_ALL = ("factor", "build-verify", "table", "export")
+_CODE, _BV = ("build-verify", "export"), ("build-verify",)
+
+
+class Option(NamedTuple):
+    """One row of OPTIONS: a JobConfig field, or --config."""
+
+    flags: tuple[str, ...]
+    commands: tuple[str, ...]  # the commands that read it
+    ring: str | None = None  # the one ring it is for, or None for both
+    type: Callable[[str], object] = str
+    choices: tuple | None = None
+    default: object = None
+    help: str | None = None
+
+
+OPTIONS = {
+    "command": Option((), _ALL, choices=_ALL),
+    "config": Option(("--config",), _ALL,
+                     help="key = value file with defaults for this run"),
+    "ring": Option(("--ring",), _CODE, choices=("r64", "f2v"), default="r64"),
+    "n": Option(("-n",), ("factor", *_CODE), type=int),
+    "gens": Option(("--gen",), _CODE, default=(), help="generator; r64 "
+                   "shorthand u^k*(p)*(q), f2v skew polynomial"),
+    "tower": Option(("--tower",), _CODE, "r64",
+                    help="six comma-separated binary polynomials"),
+    "case": Option(("--case",), _CODE, "f2v", int, choices=(1, 2, 3)),
+    "metric": Option(("--metric",), _BV, choices=METRICS, default="all"),
+    "level": Option(("--level",), _BV, "r64", choices=LEVELS, default="codon"),
+    "guard": Option(("--guard",), ("table", *_CODE), type=int,
+                    default=cyclic.DEFAULT_GUARD),
+    "fmt": Option(("--format",), ("export",), choices=("fasta", "csv")),
+    "out": Option(("--out",), ("table", "export")),
+    "which": Option(("-w", "--which"), ("table",), type=int,
+                    help="table number 1..5"),
+    "costs": Option(("--costs",), _BV,
+                    help="CSV cost table (from,to,cost; '-' is a gap)"),
+    "dna_d": Option(("--dna-d",), _BV, "r64", float),
+}
 
 
 @dataclass
 class JobConfig:
-    """One command's worth of settings; round-trips through key = value
-    text so runs can be replayed from a file."""
+    """One command's worth of settings, None where not given; round-trips
+    through key = value text so runs can be replayed from a file."""
 
-    command: str = ""
-    ring: str = "r64"
+    command: str | None = None
+    ring: str | None = None
     n: int | None = None
-    gens: tuple[str, ...] = ()
+    gens: tuple[str, ...] | None = None
     tower: str | None = None
     case: int | None = None
-    metric: str = "all"
-    level: str = "codon"
-    guard: int = cyclic.DEFAULT_GUARD
-    fmt: str = "report"
+    metric: str | None = None
+    level: str | None = None
+    guard: int | None = None
+    fmt: str | None = None
     out: str | None = None
     which: int | None = None
     costs: str | None = None
@@ -65,7 +101,7 @@ class JobConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "gens":
-                lines.extend(f"gen = {g}" for g in value)
+                lines.extend(f"gen = {g}" for g in value or ())
             elif value is not None:
                 lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
@@ -74,35 +110,27 @@ class JobConfig:
     def from_text(cls, text: str) -> "JobConfig":
         known = {f.name for f in fields(cls)}
         kwargs: dict = {}
-        gens: list[str] = []
         for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
+            line, where = raw.strip(), f"config line {lineno}"
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise UsageError(f"config line {lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
+                raise UsageError(f"{where}: expected key = value")
+            key, value = (part.strip() for part in line.split("=", 1))
             if key == "gen":
-                gens.append(value)
+                kwargs["gens"] = kwargs.get("gens", ()) + (value,)
                 continue
-            if key not in known:
-                raise UsageError(f"config line {lineno}: unknown key {key!r}")
             if key == "gens":
-                raise UsageError("use repeated 'gen =' lines")
+                raise UsageError(f"{where}: use repeated 'gen =' lines")
+            if key not in known:
+                raise UsageError(f"{where}: unknown key {key!r}")
+            opt = OPTIONS[key]
             try:
-                kwargs[key] = _CONFIG_TYPES.get(key, str)(value)
+                kwargs[key] = opt.type(value)
             except ValueError:
-                raise UsageError(
-                    f"config line {lineno}: bad value for {key}: {value!r}"
-                ) from None
-            if key in _CONFIG_CHOICES and value not in _CONFIG_CHOICES[key]:
-                raise UsageError(
-                    f"config line {lineno}: unknown {key}: {value}"
-                )
-        if gens:
-            kwargs["gens"] = tuple(gens)
+                raise UsageError(f"{where}: bad value for {key}: {value!r}") from None
+            if opt.choices and kwargs[key] not in opt.choices:
+                raise UsageError(f"{where}: unknown {key}: {value}")
         return cls(**kwargs)
 
 
@@ -157,8 +185,6 @@ def build_r64_code(cfg: JobConfig) -> cyclic.CyclicCodeR:
         raise UsageError("length -n is required")
     if cfg.n < 1:
         raise UsageError("need n >= 1")
-    if cfg.case is not None:
-        raise UsageError("--case is for --ring f2v, not r64")
     if cfg.tower and cfg.gens:
         raise UsageError("give either --tower or --gen, not both")
     try:
@@ -175,8 +201,6 @@ def build_r64_code(cfg: JobConfig) -> cyclic.CyclicCodeR:
 def build_skew_code(cfg: JobConfig) -> skew.SkewCode:
     if cfg.n is None:
         raise UsageError("length -n is required")
-    if cfg.tower is not None:
-        raise UsageError("--tower is for --ring r64, not f2v")
     if not cfg.gens:
         raise UsageError("f2v codes need at least one --gen")
     try:
@@ -400,8 +424,6 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
 
 
 def _verify_f2v(cfg: JobConfig, report: Report) -> None:
-    if cfg.dna_d is not None:
-        raise UsageError("--dna-d is for --ring r64, not f2v")
     if cfg.metric == "lee":
         raise UsageError("--metric lee is for --ring r64, not f2v")
     code = build_skew_code(cfg)
@@ -457,10 +479,8 @@ def cmd_build_verify(cfg: JobConfig) -> int:
     report.emit("command", "build-verify")
     if cfg.ring == "r64":
         _verify_r64(cfg, report)
-    elif cfg.ring == "f2v":
-        _verify_f2v(cfg, report)
     else:
-        raise UsageError(f"unknown ring {cfg.ring!r}")
+        _verify_f2v(cfg, report)
     return report.finish()
 
 
@@ -482,14 +502,14 @@ def cmd_table(cfg: JobConfig) -> int:
 
 
 def cmd_export(cfg: JobConfig) -> int:
+    if cfg.fmt is None:
+        raise UsageError("export needs --format fasta or csv")
     if cfg.ring == "r64":
         code = build_r64_code(cfg)
         to_dna, to_row = codons.canonical_table().encode_word, ring64.word_str
-    elif cfg.ring == "f2v":
+    else:
         code = build_skew_code(cfg)
         to_dna, to_row = skew.word_to_dna, skew.word_str
-    else:
-        raise UsageError(f"unknown ring {cfg.ring!r}")
     if code.size() > cfg.guard:
         print(
             f"size: {code.size()}\nerror: over the guard {cfg.guard}",
@@ -500,10 +520,8 @@ def cmd_export(cfg: JobConfig) -> int:
     n = code.n
     if cfg.fmt == "fasta":
         payload = codons.fasta([to_dna(w, n) for w in words])
-    elif cfg.fmt == "csv":
-        payload = "\n".join(to_row(w, n) for w in words) + "\n"
     else:
-        raise UsageError(f"export format must be fasta or csv, got {cfg.fmt!r}")
+        payload = "\n".join(to_row(w, n) for w in words) + "\n"
     if cfg.out:
         Path(cfg.out).write_text(payload)
         print(f"written: {cfg.out} ({len(words)} records)")
@@ -515,73 +533,56 @@ def cmd_export(cfg: JobConfig) -> int:
 # -- argument plumbing -----------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value file with defaults for this run")
-    p.add_argument("--ring", choices=("r64", "f2v"))
-    p.add_argument("-n", type=int, dest="n")
-    p.add_argument(
-        "--gen",
-        action="append",
-        dest="gens",
-        help="generator; r64 shorthand u^k*(p)*(q), f2v skew polynomial",
-    )
-    p.add_argument("--tower", help="six comma-separated binary polynomials")
-    p.add_argument("--case", type=int, choices=(1, 2, 3))
-    p.add_argument("--metric", choices=METRICS)
-    p.add_argument("--level", choices=LEVELS)
-    p.add_argument("--guard", type=int)
-    p.add_argument("--format", dest="fmt", choices=("fasta", "csv", "report"))
-    p.add_argument("--out")
-    p.add_argument("--costs", help="CSV cost table (from,to,cost; '-' is a gap)")
-    p.add_argument("--dna-d", type=float, dest="dna_d")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dnacodes",
         description="construct, enumerate and verify DNA cyclic codes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_factor = sub.add_parser("factor", help="factor x^n - 1 over F2")
-    _add_common(p_factor)
-    p_build = sub.add_parser("build-verify", help="build a code and verify it")
-    _add_common(p_build)
-    p_table = sub.add_parser("table", help="regenerate a reference table")
-    _add_common(p_table)
-    p_table.add_argument(
-        "-w", "--which", type=int, help="table number 1..5"
-    )
-    p_export = sub.add_parser("export", help="dump codewords")
-    _add_common(p_export)
+    for command, (_, about) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        # every flag (rows after "command"), so unread ones meet the check
+        for name, opt in list(OPTIONS.items())[1:]:
+            p.add_argument(
+                *opt.flags, dest=name, type=opt.type, choices=opt.choices,
+                action="append" if name == "gens" else "store",
+                help=opt.help if command in opt.commands else argparse.SUPPRESS,
+            )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> JobConfig:
+    """The config file's values, overridden by the flags given, checked
+    against OPTIONS and with the defaults of the options read filled in."""
+    cfg = JobConfig()
     if args.config:
         try:
             cfg = JobConfig.from_text(Path(args.config).read_text())
         except OSError as e:
             raise UsageError(f"cannot read config: {e}") from None
-    else:
-        cfg = JobConfig()
-    cfg.command = args.command
-    for name in (
-        "ring", "n", "tower", "case", "metric", "level",
-        "guard", "fmt", "out", "costs", "dna_d", "which",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "gens", None):
-        cfg.gens = tuple(args.gens)
+    for f in fields(cfg):
+        if (value := getattr(args, f.name)) is not None:
+            setattr(cfg, f.name, tuple(value) if f.name == "gens" else value)
+    command, ring = cfg.command, cfg.ring or OPTIONS["ring"].default
+    for f in fields(cfg):
+        opt = OPTIONS[f.name]
+        if getattr(cfg, f.name) is None:
+            if command in opt.commands and opt.ring in (None, ring):
+                setattr(cfg, f.name, opt.default)
+        elif command not in opt.commands:
+            raise UsageError(f"{opt.flags[-1]} is not used by {command}")
+        elif opt.ring not in (None, ring):
+            raise UsageError(
+                f"{opt.flags[-1]} is for --ring {opt.ring}, not {ring}"
+            )
     return cfg
 
 
 _COMMANDS = {
-    "factor": cmd_factor,
-    "build-verify": cmd_build_verify,
-    "table": cmd_table,
-    "export": cmd_export,
+    "factor": (cmd_factor, "factor x^n - 1 over F2"),
+    "build-verify": (cmd_build_verify, "build a code and verify it"),
+    "table": (cmd_table, "regenerate a reference table"),
+    "export": (cmd_export, "dump codewords"),
 }
 
 
@@ -589,8 +590,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](config_from_args(args))
     except (UsageError, GuardExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 """End-to-end command line coverage via cli.main(argv)."""
 
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -311,11 +312,10 @@ def test_export_guard(capsys):
 
 
 def test_export_rejects_report_format(capsys):
-    code, _, err = run(
-        capsys,
-        "export", "--ring", "f2v", "-n", "2", "--gen", "x+1",
-        "--format", "report",
-    )
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["export", "--ring", "f2v", "-n", "2", "--gen", "x+1",
+                  "--format", "report"])
+    code, err = exited.value.code, capsys.readouterr().err
     assert code == 2
     assert "error:" in err
 
@@ -409,6 +409,10 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
     bad_metric.write_text("ring = r64\nmetric = bogus\nn = 7\ngen = u^4*(x+1)\n")
     bad_costs = tmp_path / "costs.csv"
     bad_costs.write_text("from,to,cost\nA,G,cheap\n")
+    gens_key = tmp_path / "gens.cfg"
+    gens_key.write_text("n = 7\ngens = u^4*(x+1)\n")
+    bad_ring = tmp_path / "ring.cfg"
+    bad_ring.write_text("ring = r65\nn = 7\n")
     cases = [
         (("build-verify", "--config", str(bad_number)),
          "config line 2: bad value for n: 'seven'"),
@@ -446,11 +450,123 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
         (("export", "--ring", "r64", "-n", "7", "--gen", "u^4*(x+1)",
           "--case", "2", "--format", "csv"),
          "--case is for --ring f2v, not r64"),
+        # flags a command does not read are errors, not silently dropped
+        (("export", "--ring", "r64", "-n", "3", "--gen", "u^5*(x+1)",
+          "--format", "csv", "--dna-d", "3", "--metric", "lee",
+          "--costs", "/nonexistent.csv"),
+         "--metric is not used by export"),
+        # f2v scans are always nucleotide-level
+        (("build-verify", "--ring", "f2v", "-n", "4", "--gen", "x+1",
+          "--level", "codon", "--metric", "edit"),
+         "--level is for --ring r64, not f2v"),
+        (("export", "--ring", "r64", "-n", "7", "--gen", "u^4*(x+1)"),
+         "export needs --format fasta or csv"),
+        (("build-verify", "--config", str(gens_key)),
+         "config line 2: use repeated 'gen =' lines"),
+        (("build-verify", "--config", str(bad_ring)),
+         "config line 1: unknown ring: r65"),
     ]
     for argv, message in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err == f"error: {message}\n", argv
+
+
+# each flag: the commands that read it, a value and its config-file key;
+# --config is read by every command
+FLAG_READERS = {
+    "--ring": ({"build-verify", "export"}, "r64", "ring"),
+    "-n": ({"factor", "build-verify", "export"}, "7", "n"),
+    "--gen": ({"build-verify", "export"}, "u^4*(x+1)", "gen"),
+    "--tower": ({"build-verify", "export"}, ",".join(["x^7+1"] * 6), "tower"),
+    "--case": ({"build-verify", "export"}, "1", "case"),
+    "--metric": ({"build-verify"}, "hamming", "metric"),
+    "--level": ({"build-verify"}, "codon", "level"),
+    "--guard": ({"table", "build-verify", "export"}, "16", "guard"),
+    "--format": ({"export"}, "csv", "fmt"),
+    "--out": ({"table", "export"}, "out", "out"),
+    "--which": ({"table"}, "9", "which"),
+    "--costs": ({"build-verify"}, "costs.csv", "costs"),
+    "--dna-d": ({"build-verify"}, "3", "dna_d"),
+}
+
+
+@pytest.mark.parametrize("command", ["factor", "build-verify", "table", "export"])
+def test_each_command_rejects_the_flags_it_does_not_read(
+    capsys, tmp_path, monkeypatch, command
+):
+    monkeypatch.chdir(tmp_path)
+    Path("empty.cfg").write_text("")
+    code, _, err = run(capsys, command, "--config", "empty.cfg")
+    assert "is not used by" not in err
+    read = 0
+    for flag, (readers, value, key) in FLAG_READERS.items():
+        Path("job.cfg").write_text(f"{key} = {value}\n")
+        for argv in ([command, flag, value], [command, "--config", "job.cfg"]):
+            code, _, err = run(capsys, *argv)
+            if command in readers:
+                assert "is not used by" not in err, argv
+            else:
+                assert (code, err) == (
+                    2, f"error: {flag} is not used by {command}\n"
+                ), argv
+        read += command in readers
+    assert read + 1 == {"factor": 2, "table": 4, "export": 9,
+                        "build-verify": 11}[command]
+
+
+# each ring-specific flag: the one ring it is for, a value, its config key
+RING_FLAGS = {
+    "--tower": ("r64", ",".join(["x+1"] * 6), "tower"),
+    "--level": ("r64", "nucleotide", "level"),
+    "--dna-d": ("r64", "3", "dna_d"),
+    "--case": ("f2v", "1", "case"),
+}
+
+
+@pytest.mark.parametrize("command", ["build-verify", "export"])
+def test_ring_specific_flags_are_rejected_for_the_other_ring(
+    capsys, tmp_path, command
+):
+    job = tmp_path / "job.cfg"
+    for flag, (ring, value, key) in RING_FLAGS.items():
+        if command not in FLAG_READERS[flag][0]:
+            continue
+        for given in ("r64", "f2v", None):
+            ring_flag = ["--ring", given] if given else []
+            job.write_text(
+                (f"ring = {given}\n" if given else "") + f"{key} = {value}\n"
+            )
+            for argv in ([command, *ring_flag, flag, value],
+                         [command, "--config", str(job)]):
+                code, _, err = run(capsys, *argv)
+                if (given or "r64") == ring:
+                    assert "is for --ring" not in err, argv
+                else:
+                    assert (code, err) == (
+                        2, f"error: {flag} is for --ring {ring}, "
+                        f"not {given or 'r64'}\n"
+                    ), argv
+
+
+def test_readme_cli_block_runs(capsys, tmp_path, monkeypatch):
+    # every dnacodes command in the README's sh block, in order, so the
+    # README cannot show a flag its command rejects
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## CLI usage\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["printf"]:
+            Path(words[-1]).write_text(words[1].replace("\\n", "\n"))
+        elif words[:1] == ["dnacodes"]:
+            code, _, err = run(capsys, *words[1:])
+            # the f2v example documents a failing theorem instance
+            assert code == (1 if "f2v" in words else 0), (line, err)
+            ran.append(words[1])
+    assert ran == ["factor", "build-verify", "build-verify", "build-verify",
+                   "table", "export", "build-verify"]
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])
