@@ -15,6 +15,7 @@ consistency checks can fail a run.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -108,8 +109,15 @@ class JobConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "JobConfig":
+        return cls.read(text)[0]
+
+    @classmethod
+    def read(cls, text: str) -> tuple["JobConfig", dict[str, str]]:
+        """The config, and for each field it sets the place that set it:
+        'config line N: key' (the first line, for gen)."""
         known = {f.name for f in fields(cls)}
         kwargs: dict = {}
+        places: dict[str, str] = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line, where = raw.strip(), f"config line {lineno}"
             if not line or line.startswith("#"):
@@ -119,6 +127,7 @@ class JobConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "gen":
                 kwargs["gens"] = kwargs.get("gens", ()) + (value,)
+                places.setdefault("gens", f"{where}: gen")
                 continue
             if key == "gens":
                 raise UsageError(f"{where}: use repeated 'gen =' lines")
@@ -131,7 +140,8 @@ class JobConfig:
                 raise UsageError(f"{where}: bad value for {key}: {value!r}") from None
             if opt.choices and kwargs[key] not in opt.choices:
                 raise UsageError(f"{where}: unknown {key}: {value}")
-        return cls(**kwargs)
+            places[key] = f"{where}: {key}"
+        return cls(**kwargs), places
 
 
 # -- parsing helpers ----------------------------------------------------------
@@ -390,7 +400,10 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
             raise UsageError("--dna-d needs a code of at least two words")
         return
     if cfg.metric in ("hamming", "all"):
-        report.emit("min_hamming", metrics.min_nonzero_hamming_weight(words, n))
+        d, witness = code.socle_min_hamming(cfg.guard)
+        if witness not in word_set or ring64.word_hamming_weight(witness, n) != d:
+            raise RuntimeError(f"socle minimum {d} has no enumerated witness")
+        report.emit("min_hamming", d)
     if cfg.metric in ("lee", "all"):
         report.emit("min_lee", metrics.min_nonzero_lee_weight(words, n))
     edit = cfg.metric in ("edit", "all")
@@ -553,16 +566,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> JobConfig:
     """The config file's values, overridden by the flags given, checked
-    against OPTIONS and with the defaults of the options read filled in."""
-    cfg = JobConfig()
+    against OPTIONS and with the defaults of the options read filled in.
+    An error names the flag, or the config line, that gave the value."""
+    cfg, places = JobConfig(), {}
     if args.config:
         try:
-            cfg = JobConfig.from_text(Path(args.config).read_text())
+            cfg, places = JobConfig.read(Path(args.config).read_text())
         except OSError as e:
             raise UsageError(f"cannot read config: {e}") from None
+    if cfg.command not in (None, args.command):
+        raise UsageError(f"{places['command']} = {cfg.command}, "
+                         f"but the command is {args.command}")
     for f in fields(cfg):
         if (value := getattr(args, f.name)) is not None:
             setattr(cfg, f.name, tuple(value) if f.name == "gens" else value)
+            places.pop(f.name, None)
+    place = lambda name: places.get(name) or OPTIONS[name].flags[-1]
     command, ring = cfg.command, cfg.ring or OPTIONS["ring"].default
     for f in fields(cfg):
         opt = OPTIONS[f.name]
@@ -570,11 +589,14 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
             if command in opt.commands and opt.ring in (None, ring):
                 setattr(cfg, f.name, opt.default)
         elif command not in opt.commands:
-            raise UsageError(f"{opt.flags[-1]} is not used by {command}")
+            raise UsageError(f"{place(f.name)} is not used by {command}")
         elif opt.ring not in (None, ring):
             raise UsageError(
-                f"{opt.flags[-1]} is for --ring {opt.ring}, not {ring}"
+                f"{place(f.name)} is for --ring {opt.ring}, not {ring}"
             )
+    if cfg.dna_d is not None and not 0 <= cfg.dna_d < math.inf:
+        raise UsageError(f"{place('dna_d')} must be a finite number >= 0, "
+                         f"got {cfg.dna_d}")
     return cfg
 
 

@@ -116,8 +116,10 @@ class CodonTable:
             raise ValueError(f"unknown codon {c!r}") from None
 
     def encode_word(self, word: int, n: int) -> str:
-        """Packed ring word -> DNA string of length 3n."""
-        return "".join(self.codon(x) for x in ring64.unpack_word(word, n))
+        """Packed ring word -> DNA string of length 3n; a masked 6-bit
+        lane is always a ring element, so no lane needs a check."""
+        cod = self.codon_of_element
+        return "".join([cod[(word >> s) & 63] for s in range(0, 6 * n, 6)])
 
     def decode_dna(self, dna: str) -> tuple[int, ...]:
         check_dna(dna)

@@ -121,7 +121,9 @@ class Echelon:
 
 
 def linear_basis(
-    word_set: set[int] | frozenset[int], first: Iterable[int] = ()
+    word_set: set[int] | frozenset[int],
+    first: Iterable[int] = (),
+    listing: Sequence[int] = (),
 ) -> tuple[int, ...] | None:
     """A basis of word_set if it is an F2-subspace, else None.
 
@@ -130,9 +132,13 @@ def linear_basis(
     the candidates in first (non-members skipped), then from the set
     itself.  In an ascending linear list the words at positions 1, 2, 4,
     ... are its reduced echelon basis, so those make good candidates.
-    The 2^k span words are tested in 2^(k - k//2) blocks: one word of
-    the span of the last rows XORed with each word of the span of the
-    first k//2 rows, so no list of 2^k words is built.
+    With the rows by ascending lead, the 2^k span words are tested in
+    2^(k - k//2) blocks: one word of the span of the last rows XORed
+    with each word of the span of the first k//2, so no list of 2^k
+    words is built.  listing, if given, holds word_set's members once
+    each.  Blocks equal to its slices (all of them when it is the
+    ascending enumeration) need no lookup; from the first block that
+    differs on, blocks are looked up in the set.
     """
     size = len(word_set)
     if 0 not in word_set or size & (size - 1):
@@ -145,8 +151,16 @@ def linear_basis(
         if w in word_set:
             ech.add(w)
     basis = ech.basis()
-    low = Echelon(basis[: k // 2]).span()
-    for high in Echelon(basis[k // 2 :]).span():
+    rows = basis[::-1]
+    low = Echelon(rows[: k // 2]).span()
+    highs = Echelon(rows[k // 2 :]).span()
+    step, h = len(low), 0
+    if len(listing) == size:
+        while h < len(highs) and list(
+            listing[h * step : (h + 1) * step]
+        ) == list(map(highs[h].__xor__, low)):
+            h += 1
+    for high in highs[h:]:
         if not word_set.issuperset(map(high.__xor__, low)):
             return None
     return basis
@@ -438,6 +452,19 @@ class CyclicCodeR(LinearCode):
     def rank(self) -> int:
         return self.torsion_profile.rank
 
+    def socle_min_hamming(self, guard: int = DEFAULT_GUARD) -> tuple[int, int]:
+        """The minimum Hamming weight of a nonzero word and one word of
+        that weight, from the socle C ∩ u^5 R^n (Norton & Salagean, IEEE
+        Trans. IT 46(3), 2000): for c != 0 and the largest j with
+        u^j c != 0, u^j c lies in the socle with support inside supp(c).
+        The rows below 2^n of levelmajor_echelon span the socle, as in
+        torsion_profile, and its words' level-5 bits are their supports.
+        Raises ValueError for the zero code."""
+        n = self.n
+        rows = [r for r in self.levelmajor_echelon.basis() if r < 1 << n]
+        v = min(filter(None, Echelon(rows).span(guard)), key=int.bit_count)
+        return v.bit_count(), levelmajor_to_word(v, n)
+
     def size_formula_odd(self) -> int:
         """prod 2^(n - deg fi) for an odd-length tower."""
         if self.tower is None or self.n % 2 == 0:
@@ -624,7 +651,8 @@ def gray_image_report(
     built it already."""
     if word_set is None:
         word_set = set(words)
-    basis = linear_basis(word_set, basis_candidates(words))
+    listing = words if isinstance(words, Sequence) else ()
+    basis = linear_basis(word_set, basis_candidates(listing), listing)
     return GrayImageReport(
         bit_length=6 * n,
         linear=basis is not None,

@@ -225,10 +225,8 @@ def min_nonzero_hamming_weight(words: Iterable[int], n: int) -> int:
 
 
 def min_nonzero_lee_weight(words: Iterable[int], n: int) -> int:
-    best = 6 * n + 1
-    for w in words:
-        if w:
-            best = min(best, ring64.word_lee_weight(w))
+    """Lee weight is the popcount of the packed word (ring64)."""
+    best = min(map(int.bit_count, filter(None, words)), default=6 * n + 1)
     if best > 6 * n:
         raise ValueError("no nonzero words")
     return best

@@ -413,6 +413,12 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
     gens_key.write_text("n = 7\ngens = u^4*(x+1)\n")
     bad_ring = tmp_path / "ring.cfg"
     bad_ring.write_text("ring = r65\nn = 7\n")
+    nan_d = tmp_path / "nan_d.cfg"
+    nan_d.write_text("ring = r64\nn = 9\ngen = u^5*(x^2+x+1)\ndna_d = nan\n")
+    other_command = tmp_path / "command.cfg"
+    other_command.write_text("ring = r64\ncommand = table\nn = 7\n")
+    export_d = tmp_path / "export_d.cfg"
+    export_d.write_text("ring = r64\nn = 7\ngen = u^4*(x+1)\ndna_d = 3\n")
     cases = [
         (("build-verify", "--config", str(bad_number)),
          "config line 2: bad value for n: 'seven'"),
@@ -465,11 +471,37 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
          "config line 2: use repeated 'gen =' lines"),
         (("build-verify", "--config", str(bad_ring)),
          "config line 1: unknown ring: r65"),
+        # a distance floor is a finite number >= 0
+        *((("build-verify", "--ring", "r64", "-n", "9",
+            "--gen", "u^5*(x^2+x+1)", "--dna-d", d),
+           f"--dna-d must be a finite number >= 0, got {shown}")
+          for d, shown in (("nan", "nan"), ("inf", "inf"), ("-1", "-1.0"))),
+        (("build-verify", "--config", str(nan_d)),
+         "config line 4: dna_d must be a finite number >= 0, got nan"),
+        (("build-verify", "--config", str(other_command)),
+         "config line 2: command = table, but the command is build-verify"),
+        # a value from the config names its line, unless a flag overrides it
+        (("export", "--config", str(export_d), "--format", "csv"),
+         "config line 4: dna_d is not used by export"),
+        (("export", "--config", str(export_d), "--format", "csv",
+          "--dna-d", "3"),
+         "--dna-d is not used by export"),
     ]
     for argv, message in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err == f"error: {message}\n", argv
+
+
+def test_config_command_line_naming_the_subcommand_replays(capsys, tmp_path):
+    job = tmp_path / "job.cfg"
+    job.write_text(cli.config_from_args(cli.build_parser().parse_args(
+        ["build-verify", "--ring", "r64", "-n", "7", "--gen", "u^4*(x+1)"]
+    )).to_text())
+    assert "command = build-verify\n" in job.read_text()
+    code, out, err = run(capsys, "build-verify", "--config", str(job))
+    assert (code, err) == (0, "")
+    assert "command: build-verify" in out
 
 
 # each flag: the commands that read it, a value and its config-file key;
@@ -502,13 +534,15 @@ def test_each_command_rejects_the_flags_it_does_not_read(
     read = 0
     for flag, (readers, value, key) in FLAG_READERS.items():
         Path("job.cfg").write_text(f"{key} = {value}\n")
-        for argv in ([command, flag, value], [command, "--config", "job.cfg"]):
+        for argv, where in (([command, flag, value], flag),
+                            ([command, "--config", "job.cfg"],
+                             f"config line 1: {key}")):
             code, _, err = run(capsys, *argv)
             if command in readers:
                 assert "is not used by" not in err, argv
             else:
                 assert (code, err) == (
-                    2, f"error: {flag} is not used by {command}\n"
+                    2, f"error: {where} is not used by {command}\n"
                 ), argv
         read += command in readers
     assert read + 1 == {"factor": 2, "table": 4, "export": 9,
@@ -537,14 +571,15 @@ def test_ring_specific_flags_are_rejected_for_the_other_ring(
             job.write_text(
                 (f"ring = {given}\n" if given else "") + f"{key} = {value}\n"
             )
-            for argv in ([command, *ring_flag, flag, value],
-                         [command, "--config", str(job)]):
+            for argv, where in (([command, *ring_flag, flag, value], flag),
+                                ([command, "--config", str(job)],
+                                 f"config line {1 + bool(given)}: {key}")):
                 code, _, err = run(capsys, *argv)
                 if (given or "r64") == ring:
                     assert "is for --ring" not in err, argv
                 else:
                     assert (code, err) == (
-                        2, f"error: {flag} is for --ring {ring}, "
+                        2, f"error: {where} is for --ring {ring}, "
                         f"not {given or 'r64'}\n"
                     ), argv
 

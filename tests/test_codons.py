@@ -146,3 +146,14 @@ def test_verify_dna_set_rc():
 def test_fasta_format():
     out = codons.fasta(["GGG", "CCC"])
     assert out.splitlines() == [">cw0", "GGG", ">cw1", "CCC"]
+
+
+def test_encode_word_matches_the_codon_join_at_every_position():
+    table = codons.canonical_table()
+    rng = random.Random(64)
+    n = 5
+    for j in range(n):
+        for x in range(64):
+            w = rng.getrandbits(6 * n) & ~(63 << (6 * j)) | x << (6 * j)
+            want = "".join(table.codon(c) for c in ring64.unpack_word(w, n))
+            assert table.encode_word(w, n) == want

@@ -14,7 +14,12 @@ from dnacodes.cyclic import (
     iter_admissible_towers,
     single_generator_code,
 )
-from dnacodes.gf2poly import Gf2Poly, GuardExceeded, x_pow_n_minus_1
+from dnacodes.gf2poly import (
+    Gf2Poly,
+    GuardExceeded,
+    factor_xn_minus_1,
+    x_pow_n_minus_1,
+)
 from helpers import (
     bfs_closure,
     closure_r_words,
@@ -397,3 +402,94 @@ def test_linear_basis_and_closed_under():
     pair = {0, w}
     assert not cyclic.closed_under(pair, shift, cyclic.linear_basis(pair))
     assert not cyclic.closed_under(pair, shift, None)
+
+
+def _socle_matches_scan(code):
+    words = code.words(2**16)
+    d, witness = code.socle_min_hamming()
+    assert d == metrics.min_nonzero_hamming_weight(words, code.n), code
+    assert witness in set(words)
+    assert ring64.word_hamming_weight(witness, code.n) == d
+
+
+def _divisors_of_xn_minus_1(n):
+    divisors = [Gf2Poly(1)]
+    for f, mult in factor_xn_minus_1(n):
+        powers = [Gf2Poly(1)]
+        for _ in range(mult):
+            powers.append(powers[-1] * f)
+        divisors = [g * p for g in divisors for p in powers]
+    return divisors
+
+
+def test_socle_min_hamming_matches_the_word_scan():
+    # every admissible odd tower of 2..2^16 words, a sample at n = 9
+    rng = random.Random(9)
+    for n in (3, 5, 7, 9):
+        codes = [CyclicCodeR.from_tower(n, polys)
+                 for polys in iter_admissible_towers(n)]
+        codes = [c for c in codes if 2 <= c.size_formula_odd() <= 2**16]
+        assert len(codes) == {3: 46, 5: 26, 7: 106, 9: 85}[n]
+        if n == 9:
+            codes = rng.sample(codes, 20)
+        for code in codes:
+            _socle_matches_scan(code)
+    # single-generator codes of even length, as --gen builds them
+    checked = 0
+    for n in (4, 6, 8):
+        for f in _divisors_of_xn_minus_1(n):
+            for level in range(6):
+                code = single_generator_code(n, level, f)
+                if 2 <= code.size() <= 2**16:
+                    _socle_matches_scan(code)
+                    checked += 1
+    assert checked == 21 + 36 + 30
+    # socles none of whose echelon rows has the minimum weight
+    for n, f in ((18, "x^8+x^6+x^5+x^3+x^2+1"),
+                 (21, "x^15+x^13+x^11+x^10+x^7+x^6+x^5+x^3+x^2+x+1")):
+        for level in (4, 5):
+            code = single_generator_code(n, level, Gf2Poly.from_string(f))
+            if code.size() <= 2**16:
+                _socle_matches_scan(code)
+
+
+class _CountingSet(set):
+    lookups = 0
+
+    def issuperset(self, other):
+        self.lookups += 1
+        return super().issuperset(other)
+
+
+def test_linear_basis_in_order_certificate():
+    rng = random.Random(12)
+    for dim in (0, 1, 2, 3, 5, 8, 11):
+        for lane in (2, 6):
+            vectors = [rng.getrandbits(lane * 5) for _ in range(dim)]
+            words = Echelon(vectors).span()
+            want = cyclic.linear_basis(set(words))
+            assert want is not None
+            # ascending: every block matches, nothing is looked up
+            word_set = _CountingSet(words)
+            got = cyclic.linear_basis(
+                word_set, cyclic.basis_candidates(words), words
+            )
+            assert (got, word_set.lookups) == (want, 0)
+            if len(words) < 4:
+                continue
+            # shuffled: falls back to the set blocks and still finds it
+            shuffled = words[:]
+            rng.shuffle(shuffled)
+            word_set = _CountingSet(shuffled)
+            got = cyclic.linear_basis(
+                word_set, cyclic.basis_candidates(shuffled), shuffled
+            )
+            assert got == want and word_set.lookups > 0
+            # one word replaced by a non-member: not linear
+            outside = next(w for w in range(1 << (lane * 5 + 1))
+                           if w not in word_set)
+            for i in {1, 2, len(words) // 2 + 1, len(words) - 1}:
+                listing = words[:i] + [outside] + words[i + 1 :]
+                assert cyclic.linear_basis(
+                    set(listing), cyclic.basis_candidates(listing), listing
+                ) is None, (dim, lane, i)
