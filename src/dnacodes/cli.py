@@ -291,10 +291,10 @@ def _enumerate(
     code: cyclic.LinearCode,
     alg_closed: bool,
     word_str: Callable[[int, int], str],
-) -> tuple[tuple[int, ...], set[int], tuple[bool, int | None]] | None:
+) -> tuple[tuple[int, ...], tuple[bool, int | None]] | None:
     """Enumerate the code unless it is over the guard, and check the
     enumerated rc-closure against the algebraic one; word_str renders a
-    witness.  Returns the sorted words, their set and their
+    witness.  Returns the ascending words and their
     rc_closed_extensional result."""
     enumerable = code.size() <= cfg.guard
     report.emit("enumerated", enumerable)
@@ -303,8 +303,7 @@ def _enumerate(
         return None
     words = code.words(cfg.guard)
     report.check("enumerated_size", len(words) == code.size())
-    word_set = set(words)
-    rc_closure = cyclic.rc_closed_extensional(code, word_set)
+    rc_closure = cyclic.rc_closed_extensional(code, words)
     ext_closed, witness = rc_closure
     report.check(
         "rc_extensional_matches_algebraic",
@@ -319,7 +318,7 @@ def _enumerate(
             f"{word_str(witness, n)} whose reverse-complement "
             f"{word_str(missing, n)} is not in the code",
         )
-    return words, word_set, rc_closure
+    return words, rc_closure
 
 
 def _min_edit(
@@ -390,8 +389,8 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
     enumerated = _enumerate(cfg, report, code, rc.rc_closed, ring64.word_str)
     if enumerated is None:
         return
-    words, word_set, rc_closure = enumerated
-    gray = cyclic.gray_image_report(words, n, word_set)
+    words, rc_closure = enumerated
+    gray = cyclic.gray_image_report(words, n)
     report.check("gray_linear", gray.linear)
     report.check("gray_shift6_closed", gray.shift_closed)
 
@@ -401,7 +400,8 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
         return
     if cfg.metric in ("hamming", "all"):
         d, witness = code.socle_min_hamming(cfg.guard)
-        if witness not in word_set or ring64.word_hamming_weight(witness, n) != d:
+        if (not cyclic.has_word(words, witness)
+                or ring64.word_hamming_weight(witness, n) != d):
             raise RuntimeError(f"socle minimum {d} has no enumerated witness")
         report.emit("min_hamming", d)
     if cfg.metric in ("lee", "all"):
@@ -597,6 +597,8 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
     if cfg.dna_d is not None and not 0 <= cfg.dna_d < math.inf:
         raise UsageError(f"{place('dna_d')} must be a finite number >= 0, "
                          f"got {cfg.dna_d}")
+    if cfg.guard is not None and cfg.guard < 1:
+        raise UsageError(f"{place('guard')} must be >= 1, got {cfg.guard}")
     return cfg
 
 

@@ -12,9 +12,9 @@ its reverse-complement checks are shared with the skew cyclic codes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import codons, metrics, ring64
@@ -120,62 +120,54 @@ class Echelon:
         return out
 
 
-def linear_basis(
-    word_set: set[int] | frozenset[int],
-    first: Iterable[int] = (),
-    listing: Sequence[int] = (),
-) -> tuple[int, ...] | None:
-    """A basis of word_set if it is an F2-subspace, else None.
+def has_word(words: Sequence[int], w: int) -> bool:
+    """Whether w is among the ascending, repeat-free words (a binary
+    search)."""
+    i = bisect_left(words, w)
+    return i < len(words) and words[i] == w
 
-    The set is linear iff it holds 0, has 2^k members, and the span of
-    k independent members lies inside it.  Those members are taken from
-    the candidates in first (non-members skipped), then from the set
-    itself.  In an ascending linear list the words at positions 1, 2, 4,
-    ... are its reduced echelon basis, so those make good candidates.
-    With the rows by ascending lead, the 2^k span words are tested in
-    2^(k - k//2) blocks: one word of the span of the last rows XORed
-    with each word of the span of the first k//2, so no list of 2^k
-    words is built.  listing, if given, holds word_set's members once
-    each.  Blocks equal to its slices (all of them when it is the
-    ascending enumeration) need no lookup; from the first block that
-    differs on, blocks are looked up in the set.
+
+def linear_basis(words: Sequence[int]) -> tuple[int, ...] | None:
+    """A basis of the words if they are, in order, the ascending span
+    of an F2-subspace (as LinearCode.words lists it), else None.
+
+    An ascending list of 2^k distinct words starting at 0 is linear iff
+    it equals, in order, the span of k independent members.  If it is,
+    the words at positions 1, 2, 4, ... are its reduced echelon basis,
+    so those are the members taken.  With the rows by ascending lead,
+    the 2^k span words are compared in 2^(k - k//2) blocks: one word of
+    the span of the last rows XORed with each word of the span of the
+    first k//2, so no list of 2^k words is built.
     """
-    size = len(word_set)
-    if 0 not in word_set or size & (size - 1):
+    size = len(words)
+    if not size or words[0] or size & (size - 1):
         return None
     k = size.bit_length() - 1
-    ech = Echelon()
-    for w in chain(first, word_set):
-        if ech.dim == k:
-            break
-        if w in word_set:
-            ech.add(w)
+    ech = Echelon(words[1 << j] for j in range(k))
+    if ech.dim < k:
+        return None
     basis = ech.basis()
     rows = basis[::-1]
     low = Echelon(rows[: k // 2]).span()
-    highs = Echelon(rows[k // 2 :]).span()
-    step, h = len(low), 0
-    if len(listing) == size:
-        while h < len(highs) and list(
-            listing[h * step : (h + 1) * step]
-        ) == list(map(highs[h].__xor__, low)):
-            h += 1
-    for high in highs[h:]:
-        if not word_set.issuperset(map(high.__xor__, low)):
+    step = len(low)
+    for h, high in enumerate(Echelon(rows[k // 2 :]).span()):
+        block = words[h * step : (h + 1) * step]
+        if list(block) != list(map(high.__xor__, low)):
             return None
     return basis
 
 
 def closed_under(
-    word_set: set[int] | frozenset[int],
+    words: Sequence[int],
     f: Callable[[int], int],
     basis: Sequence[int] | None,
 ) -> bool:
-    """Whether f maps word_set into itself.  For an F2-linear f and a
-    linear set it is enough that f maps a basis in (pass linear_basis's
-    result); with basis None every word is checked."""
-    words = word_set if basis is None else basis
-    return all(f(w) in word_set for w in words)
+    """Whether f maps the ascending, repeat-free words into themselves.
+    For an F2-linear f and linear words it is enough that f maps a basis
+    in (pass linear_basis's result); with basis None every word is
+    checked."""
+    checked = words if basis is None else basis
+    return all(has_word(words, f(w)) for w in checked)
 
 
 class LinearCode:
@@ -278,14 +270,14 @@ def rc_report(code: LinearCode) -> RcReport:
 
 
 def rc_closed_extensional(
-    code: LinearCode, words: Iterable[int]
+    code: LinearCode, words: Sequence[int]
 ) -> tuple[bool, int | None]:
-    """Set-level reverse-complement check of words from the code;
-    returns a violating word if any."""
-    word_set = words if isinstance(words, (set, frozenset)) else set(words)
+    """Reverse-complement check of the code's enumerated words, listed
+    ascending; the witness is the least word whose reverse complement
+    is not among them, or None if there is none."""
     rc, n = code.ring.word_reverse_complement, code.n
-    for w in word_set:
-        if rc(w, n) not in word_set:
+    for w in words:
+        if not has_word(words, rc(w, n)):
             return False, w
     return True, None
 
@@ -632,32 +624,17 @@ class GrayImageReport:
     shift_bits: int
 
 
-def basis_candidates(words: Iterable[int]) -> list[int]:
-    """The words at positions 1, 2, 4, ... of a sequence, the candidates
-    linear_basis tries first; none for an unordered collection."""
-    if not isinstance(words, Sequence):
-        return []
-    return [words[1 << j] for j in range(max(len(words) - 1, 0).bit_length())]
-
-
-def gray_image_report(
-    words: Iterable[int],
-    n: int,
-    word_set: set[int] | frozenset[int] | None = None,
-) -> GrayImageReport:
+def gray_image_report(words: Iterable[int], n: int) -> GrayImageReport:
     """The binary Gray image of a packed word is the word itself read as
     6n bits, so the image of a cyclic code must be XOR-closed and closed
-    under rotation by 6 bits.  word_set is set(words) if the caller has
-    built it already."""
-    if word_set is None:
-        word_set = set(words)
-    listing = words if isinstance(words, Sequence) else ()
-    basis = linear_basis(word_set, basis_candidates(listing), listing)
+    under rotation by 6 bits.  words are distinct, in any order."""
+    listing = sorted(words)
+    basis = linear_basis(listing)
     return GrayImageReport(
         bit_length=6 * n,
         linear=basis is not None,
         shift_closed=closed_under(
-            word_set, lambda w: ring64.word_shift(w, n), basis
+            listing, lambda w: ring64.word_shift(w, n), basis
         ),
         shift_bits=6,
     )
@@ -765,6 +742,7 @@ __all__ = [
     "validate_tower",
     "tower_str",
     "Echelon",
+    "has_word",
     "linear_basis",
     "closed_under",
     "word_to_levelmajor",
@@ -786,7 +764,6 @@ __all__ = [
     "codon_symbols",
     "classify_dna_code",
     "GrayImageReport",
-    "basis_candidates",
     "gray_image_report",
     "EditBoundCheck",
     "edit_bound_check",

@@ -392,10 +392,10 @@ def regenerate_table5() -> TableReport:
             (w, "printed", f"plain complement {codons.dna_complement(w)} missing")
         )
     # the printed set holds the zero word, so XOR-closure is linearity
-    wset = {skew.dna_to_word(s) for s in printed}
-    basis = cyclic.linear_basis(wset)
+    words = sorted(skew.dna_to_word(s) for s in printed)
+    basis = cyclic.linear_basis(words)
     shift_closed = cyclic.closed_under(
-        wset, lambda w: skew.skew_shift(w, 10), basis
+        words, lambda w: skew.skew_shift(w, 10), basis
     )
     report.notes.append(f"xor_closed: {basis is not None}")
     report.notes.append(f"skew_shift_closed: {shift_closed}")

@@ -20,7 +20,6 @@ from . import codons
 from .cyclic import (
     LinearCode,
     RcTally,
-    basis_candidates,
     closed_under,
     linear_basis,
 )
@@ -345,13 +344,10 @@ class SkewGrayReport:
 
 
 def gray_image_report(words: Iterable[int], n: int) -> SkewGrayReport:
-    """gray_image is F2-linear and bijective, so the images of the
-    words at cyclic.basis_candidates positions are the candidates for a
-    basis of the image."""
-    image = {gray_image(w, n) for w in words}
-    basis = linear_basis(
-        image, [gray_image(w, n) for w in basis_candidates(words)]
-    )
+    """Linearity and shift closure of the words' binary images, which
+    are listed ascending for the checks; words are distinct."""
+    image = sorted(gray_image(w, n) for w in words)
+    basis = linear_basis(image)
     return SkewGrayReport(
         bit_length=2 * n,
         linear=basis is not None,

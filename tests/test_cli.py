@@ -225,7 +225,7 @@ def test_build_verify_f2v_length8_theorem_failure(capsys):
     assert "rc_closed: False" in out
     assert "check.sufficiency_implies_closure: FAIL" in out
     assert (
-        "rc_witness: CGGGGGCC whose reverse-complement GGCCCCCG "
+        "rc_witness: ACAGGGGG whose reverse-complement CCCCCTGT "
         "is not in the code" in out
     )
     assert "verdict: FAIL" in out
@@ -419,6 +419,8 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
     other_command.write_text("ring = r64\ncommand = table\nn = 7\n")
     export_d = tmp_path / "export_d.cfg"
     export_d.write_text("ring = r64\nn = 7\ngen = u^4*(x+1)\ndna_d = 3\n")
+    zero_guard = tmp_path / "guard.cfg"
+    zero_guard.write_text("ring = r64\nn = 7\ngen = u^4*(x+1)\nguard = 0\n")
     cases = [
         (("build-verify", "--config", str(bad_number)),
          "config line 2: bad value for n: 'seven'"),
@@ -486,6 +488,13 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
         (("export", "--config", str(export_d), "--format", "csv",
           "--dna-d", "3"),
          "--dna-d is not used by export"),
+        # an enumeration guard is at least one word
+        (("build-verify", "--ring", "r64", "-n", "7", "--gen", "u^4*(x+1)",
+          "--guard", "-5"),
+         "--guard must be >= 1, got -5"),
+        (("table", "-w", "3", "--guard", "0"), "--guard must be >= 1, got 0"),
+        (("build-verify", "--config", str(zero_guard)),
+         "config line 4: guard must be >= 1, got 0"),
     ]
     for argv, message in cases:
         code, _, err = run(capsys, *argv)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dnacodes import cyclic, metrics, ring64
+from dnacodes import cyclic, metrics, ring64, skew
 from dnacodes.cyclic import (
     CyclicCodeR,
     Echelon,
@@ -384,24 +384,32 @@ def test_gray_report_on_linear_sets_that_are_not_shift_closed():
 def test_linear_basis_and_closed_under():
     code = table3_code()
     words = code.words(2**12)
-    word_set = set(words)
-    basis = cyclic.linear_basis(word_set, cyclic.basis_candidates(words))
+    basis = cyclic.linear_basis(words)
     assert basis is not None
     assert len(basis) == code.dim
     assert Echelon(basis).dim == code.dim
     assert all(code.contains(b) for b in basis)
-    # candidates that are not members are skipped
-    assert cyclic.linear_basis(word_set, [1, 3, 5]) is not None
-    assert cyclic.linear_basis(set(), []) is None
-    assert cyclic.linear_basis({0}, []) == ()
-    assert cyclic.linear_basis(word_set - {words[-1]}) is None
+    assert cyclic.linear_basis([]) is None
+    assert cyclic.linear_basis([0]) == ()
+    assert cyclic.linear_basis(words[:-1]) is None
+    # 2^k words from 0 with repeats: fewer than k independent rows
+    assert cyclic.linear_basis([0, 0]) is None
+    assert cyclic.linear_basis([0, 3, 3, 3]) is None
+    # a linear set out of ascending order is not certified
+    assert cyclic.linear_basis(words[::-1]) is None
     shift = lambda w: ring64.word_shift(w, 7)
-    assert cyclic.closed_under(word_set, shift, basis)
-    assert cyclic.closed_under(word_set, shift, None)
+    assert cyclic.closed_under(words, shift, basis)
+    assert cyclic.closed_under(words, shift, None)
     w = words[5]
-    pair = {0, w}
+    pair = [0, w]
     assert not cyclic.closed_under(pair, shift, cyclic.linear_basis(pair))
     assert not cyclic.closed_under(pair, shift, None)
+    # membership by binary search, at both ends of the list and past them
+    assert cyclic.has_word(words, words[0])
+    assert cyclic.has_word(words, words[-1])
+    assert not cyclic.has_word(words[1:], words[0])
+    assert not cyclic.has_word(words, words[-1] + 1)
+    assert not cyclic.has_word([], 0)
 
 
 def _socle_matches_scan(code):
@@ -453,43 +461,46 @@ def test_socle_min_hamming_matches_the_word_scan():
                 _socle_matches_scan(code)
 
 
-class _CountingSet(set):
-    lookups = 0
-
-    def issuperset(self, other):
-        self.lookups += 1
-        return super().issuperset(other)
-
-
 def test_linear_basis_in_order_certificate():
     rng = random.Random(12)
     for dim in (0, 1, 2, 3, 5, 8, 11):
         for lane in (2, 6):
             vectors = [rng.getrandbits(lane * 5) for _ in range(dim)]
-            words = Echelon(vectors).span()
-            want = cyclic.linear_basis(set(words))
-            assert want is not None
-            # ascending: every block matches, nothing is looked up
-            word_set = _CountingSet(words)
-            got = cyclic.linear_basis(
-                word_set, cyclic.basis_candidates(words), words
-            )
-            assert (got, word_set.lookups) == (want, 0)
+            ech = Echelon(vectors)
+            words = ech.span()
+            # ascending: the basis is the span's reduced echelon basis
+            assert cyclic.linear_basis(words) == ech.basis()
             if len(words) < 4:
                 continue
-            # shuffled: falls back to the set blocks and still finds it
+            # the same words out of order: not certified
             shuffled = words[:]
             rng.shuffle(shuffled)
-            word_set = _CountingSet(shuffled)
-            got = cyclic.linear_basis(
-                word_set, cyclic.basis_candidates(shuffled), shuffled
-            )
-            assert got == want and word_set.lookups > 0
+            assert shuffled == words or cyclic.linear_basis(shuffled) is None
+            swapped = [words[0], words[2], words[1], *words[3:]]
+            assert cyclic.linear_basis(swapped) is None
             # one word replaced by a non-member: not linear
+            word_set = set(words)
             outside = next(w for w in range(1 << (lane * 5 + 1))
                            if w not in word_set)
             for i in {1, 2, len(words) // 2 + 1, len(words) - 1}:
-                listing = words[:i] + [outside] + words[i + 1 :]
-                assert cyclic.linear_basis(
-                    set(listing), cyclic.basis_candidates(listing), listing
-                ) is None, (dim, lane, i)
+                listing = sorted(words[:i] + [outside] + words[i + 1 :])
+                assert cyclic.linear_basis(listing) is None, (dim, lane, i)
+
+
+def test_rc_witness_is_the_least_violating_word():
+    # every code the two rc campaigns enumerate, against a set-based scan
+    codes = [CyclicCodeR.from_tower(n, polys)
+             for n in (3, 5, 7) for polys in iter_admissible_towers(n)]
+    codes += [code for n in (2, 4, 6, 8) for code in skew.all_codes(n)]
+    checked = 0
+    for code in codes:
+        if code.size() > 2**16:
+            continue
+        words = code.words(2**16)
+        word_set = set(words)
+        rc = code.ring.word_reverse_complement
+        violating = [w for w in word_set if rc(w, code.n) not in word_set]
+        want = (False, min(violating)) if violating else (True, None)
+        assert cyclic.rc_closed_extensional(code, words) == want, code
+        checked += 1
+    assert checked == 181 + 90  # the campaigns' codes_enumerated
