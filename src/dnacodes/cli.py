@@ -62,7 +62,6 @@ OPTIONS = {
                    "shorthand u^k*(p)*(q), f2v skew polynomial"),
     "tower": Option(("--tower",), _CODE, "r64",
                     help="six comma-separated binary polynomials"),
-    "case": Option(("--case",), _CODE, "f2v", int, choices=(1, 2, 3)),
     "metric": Option(("--metric",), _BV, choices=METRICS, default="all"),
     "level": Option(("--level",), _BV, "r64", choices=LEVELS, default="codon"),
     "guard": Option(("--guard",), ("table", *_CODE), type=int,
@@ -87,7 +86,6 @@ class JobConfig:
     n: int | None = None
     gens: tuple[str, ...] | None = None
     tower: str | None = None
-    case: int | None = None
     metric: str | None = None
     level: str | None = None
     guard: int | None = None
@@ -193,8 +191,6 @@ def parse_tower(text: str) -> tuple[Gf2Poly, ...]:
 def build_r64_code(cfg: JobConfig) -> cyclic.CyclicCodeR:
     if cfg.n is None:
         raise UsageError("length -n is required")
-    if cfg.n < 1:
-        raise UsageError("need n >= 1")
     if cfg.tower and cfg.gens:
         raise UsageError("give either --tower or --gen, not both")
     try:
@@ -217,16 +213,8 @@ def build_skew_code(cfg: JobConfig) -> skew.SkewCode:
         polys = [skew.parse_skew_poly(g) for g in cfg.gens]
     except ValueError as e:
         raise UsageError(f"bad skew polynomial: {e}") from None
-    case = cfg.case
-    if case is None:
-        if len(polys) == 2:
-            case = 2
-        elif polys[0] and polys[0][-1] == skew.ONE:
-            case = 1
-        else:
-            case = 3
     try:
-        return skew.SkewCode(cfg.n, case, polys)
+        return skew.SkewCode(cfg.n, polys)
     except skew.SkewCodeError as e:
         raise UsageError(str(e)) from None
 
@@ -271,7 +259,7 @@ class Report:
 
 
 def cmd_factor(cfg: JobConfig) -> int:
-    if cfg.n is None or cfg.n < 1:
+    if cfg.n is None:
         raise UsageError("factor needs a positive length -n")
     factors = factor_xn_minus_1(cfg.n)
     print(f"n: {cfg.n}")
@@ -594,6 +582,8 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
             raise UsageError(
                 f"{place(f.name)} is for --ring {opt.ring}, not {ring}"
             )
+    if cfg.n is not None and cfg.n < 1:
+        raise UsageError(f"{place('n')} must be >= 1, got {cfg.n}")
     if cfg.dna_d is not None and not 0 <= cfg.dna_d < math.inf:
         raise UsageError(f"{place('dna_d')} must be a finite number >= 0, "
                          f"got {cfg.dna_d}")

@@ -32,7 +32,6 @@ from itertools import product
 
 from . import ring64
 
-BASES = "ACGT"
 BASE_COMPLEMENT = {"A": "T", "T": "A", "C": "G", "G": "C"}
 
 ALL_CODONS = tuple("".join(p) for p in product("ACGT", repeat=3))
@@ -278,7 +277,6 @@ def fasta(records) -> str:
 
 
 __all__ = [
-    "BASES",
     "BASE_COMPLEMENT",
     "ALL_CODONS",
     "ANCHORS",

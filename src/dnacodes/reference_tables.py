@@ -15,6 +15,7 @@ ints (bit i = coefficient of u^i).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import codons, cyclic, metrics, ring64, skew
@@ -50,7 +51,6 @@ PRINTED_CODON_TABLE: tuple[tuple[str, int], ...] = (
 # reading (size 4^(7-deg f)); the regeneration below uses u^4 and reports
 # both readings' sizes.
 
-TABLE2_FACTOR_LABELS = ("f0", "f1", "f0*f1", "f0*f2", "f1*f2", "f2")
 PRINTED_HAMMING_FAMILY: tuple[tuple[str, tuple[int, int, int]], ...] = (
     ("f0", (7, 4096, 2)),
     ("f1", (7, 256, 3)),
@@ -225,11 +225,8 @@ def regenerate_table1() -> TableReport:
     report.diff_rows = [
         (d.codon, d.printed_value, d.derived_value) for d in table.diff
     ]
-    dup_codons = sorted(
-        {c for c, _ in PRINTED_CODON_TABLE}
-        & {c for i, (c, _) in enumerate(PRINTED_CODON_TABLE)
-           if c in [x for x, _ in PRINTED_CODON_TABLE[:i]]}
-    )
+    counts = Counter(c for c, _ in PRINTED_CODON_TABLE)
+    dup_codons = sorted(c for c, k in counts.items() if k > 1)
     if dup_codons:
         report.notes.append(f"printed table repeats codons: {','.join(dup_codons)}")
     return report

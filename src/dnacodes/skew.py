@@ -387,46 +387,37 @@ def _binary_part(f: Sequence[int], unit: int) -> Gf2Poly:
 
 
 class SkewCode(LinearCode):
-    """A skew cyclic code of even length, from one or two generators.
+    """A skew cyclic code of even length, whose case is read from its
+    generators.
 
     Case 1: a single monic right divisor g of x^n - 1.
     Case 3: a single non-monic generator v*f1 or (v+1)*f1 with binary
     f1 dividing x^n - 1.
-    Case 2: one generator of each shape.
+    Case 2: one generator of each shape, in either order.
     """
 
     ring = sys.modules[__name__]  # the word operations of this module
 
-    def __init__(self, n: int, case: int, generators: Sequence[Sequence[int]]):
+    def __init__(self, n: int, generators: Sequence[Sequence[int]]):
         if n < 2 or n % 2 == 1:
             raise SkewCodeError(f"length must be even and positive, got {n}")
-        if case not in (1, 2, 3):
-            raise SkewCodeError(f"case must be 1, 2 or 3, got {case}")
-        gens = [poly_normalize(g) for g in generators]
-        if case in (1, 3) and len(gens) != 1:
-            raise SkewCodeError(f"case {case} takes one generator")
-        if case == 2 and len(gens) != 2:
-            raise SkewCodeError("case 2 takes two generators")
+        gens = tuple(poly_normalize(g) for g in generators)
         monic = [g for g in gens if g and g[-1] == ONE]
-        scaled = [g for g in gens if g and g[-1] in (V, V1)]
-        if case == 1:
-            if not monic:
-                raise SkewCodeError("case 1 needs a monic generator")
-            self._check_right_divisor(n, gens[0])
-        elif case == 3:
-            if not scaled:
-                raise SkewCodeError("case 3 needs a non-monic generator")
-            self._check_scaled(n, gens[0])
-        else:
-            if len(monic) != 1 or len(scaled) != 1:
-                raise SkewCodeError(
-                    "case 2 needs one monic and one v/(v+1)-scaled generator"
-                )
-            self._check_right_divisor(n, monic[0])
-            self._check_scaled(n, scaled[0])
+        scaled = [g for g in gens if g and g[-1] != ONE]
+        case = {(1, 0): 1, (1, 1): 2, (0, 1): 3}.get((len(monic), len(scaled)))
+        if case is None or not all(gens):
+            raise SkewCodeError(
+                "a skew code takes one monic generator, one v- or "
+                "(v+1)-scaled generator, or one of each; got "
+                + (", ".join(poly_str(g) for g in gens) or "none")
+            )
+        for g in monic:
+            self._check_right_divisor(n, g)
+        for f in scaled:
+            self._check_scaled(n, f)
         self.n = n
         self.case = case
-        self.generators = tuple(gens)
+        self.generators = gens
 
     @staticmethod
     def _check_right_divisor(n: int, g: Sequence[int]) -> None:
@@ -447,11 +438,15 @@ class SkewCode(LinearCode):
 
     @classmethod
     def from_case1(cls, n: int, g: Sequence[int]) -> "SkewCode":
-        return cls(n, 1, [g])
+        if poly_normalize(g)[-1:] != (ONE,):
+            raise SkewCodeError("case 1 needs a monic generator")
+        return cls(n, [g])
 
     @classmethod
     def from_case3(cls, n: int, f: Sequence[int]) -> "SkewCode":
-        return cls(n, 3, [f])
+        if poly_normalize(f)[-1:] not in ((V,), (V1,)):
+            raise SkewCodeError("case 3 needs a non-monic generator")
+        return cls(n, [f])
 
     def __repr__(self):
         gens = ", ".join(poly_str(g) for g in self.generators)
@@ -496,14 +491,12 @@ def monic_right_divisor_candidates(n: int, degree: int) -> Iterator[tuple[int, .
         yield (ONE,) + middle + (ONE,)
 
 
-def monic_right_divisors(
-    n: int, degrees: Iterable[int] | None = None
-) -> list[tuple[int, ...]]:
-    """Every monic right divisor of x^n - 1 of the given degrees
-    (default: all proper degrees 1..n-1), by exhaustive search."""
+def monic_right_divisors(n: int) -> list[tuple[int, ...]]:
+    """Every monic right divisor of x^n - 1 of degree 1..n-1, by
+    exhaustive search."""
     target = x_pow_n_minus_1(n)
     found = []
-    for d in degrees if degrees is not None else range(1, n):
+    for d in range(1, n):
         for g in monic_right_divisor_candidates(n, d):
             _, rem = poly_right_divmod(target, g)
             if not rem:

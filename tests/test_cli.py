@@ -380,9 +380,15 @@ def test_usage_errors_exit_2(capsys):
          "--gen", "x+v"),  # not a right divisor
         ("build-verify", "--ring", "r64", "-n", "0",
          "--gen", "u*(x+1)"),  # non-positive length
+        # the case is read from the generators, not given
+        ("build-verify", "--ring", "f2v", "-n", "4", "--gen", "x+1",
+         "--case", "1"),
     ]
     for argv in cases:
-        code, _, err = run(capsys, *argv)
+        try:
+            code, _, err = run(capsys, *argv)
+        except SystemExit as exited:  # rejected by argparse itself
+            code, err = exited.code, capsys.readouterr().err
         assert code == 2, argv
         assert "error:" in err
 
@@ -394,7 +400,7 @@ def test_skew_generator_string_round_trip_through_cli(capsys):
     code, out, _ = run(
         capsys,
         "build-verify", "--ring", "f2v", "-n", "2",
-        "--gen", g1, "--gen", g2, "--case", "2",
+        "--gen", g1, "--gen", g2,
     )
     assert code == 0
     assert "case: 2" in out
@@ -421,6 +427,10 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
     export_d.write_text("ring = r64\nn = 7\ngen = u^4*(x+1)\ndna_d = 3\n")
     zero_guard = tmp_path / "guard.cfg"
     zero_guard.write_text("ring = r64\nn = 7\ngen = u^4*(x+1)\nguard = 0\n")
+    zero_n = tmp_path / "n.cfg"
+    zero_n.write_text("ring = f2v\nn = 0\ngen = x+1\n")
+    case_key = tmp_path / "case.cfg"
+    case_key.write_text("case = 1\nring = f2v\nn = 4\ngen = x+1\n")
     cases = [
         (("build-verify", "--config", str(bad_number)),
          "config line 2: bad value for n: 'seven'"),
@@ -435,11 +445,22 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
         (("build-verify", "--ring", "r64", "-n", "7",
           "--gen", "u^0*(x^7+1)", "--dna-d", "3"),  # a one-word code
          "--dna-d needs a code of at least two words"),
+        # a length is at least one, whichever command and ring read it
         (("build-verify", "--ring", "r64", "-n", "0", "--gen", "u*(x+1)"),
-         "need n >= 1"),
+         "-n must be >= 1, got 0"),
         (("build-verify", "--ring", "r64", "-n", "0",
           "--tower", ",".join(["x+1"] * 6)),
-         "need n >= 1"),
+         "-n must be >= 1, got 0"),
+        (("factor", "-n", "0"), "-n must be >= 1, got 0"),
+        (("build-verify", "--ring", "f2v", "-n", "0", "--gen", "x+1"),
+         "-n must be >= 1, got 0"),
+        (("export", "--ring", "f2v", "-n", "-2", "--gen", "x+1",
+          "--format", "csv"),
+         "-n must be >= 1, got -2"),
+        (("build-verify", "--config", str(zero_n)),
+         "config line 2: n must be >= 1, got 0"),
+        (("build-verify", "--config", str(case_key)),
+         "config line 1: unknown key 'case'"),
         (("build-verify", "--ring", "f2v", "-n", "8", "--gen", "x^2+v*x+1",
           "--tower", ",".join(["x+1"] * 6)),
          "--tower is for --ring r64, not f2v"),
@@ -452,12 +473,6 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
         (("build-verify", "--ring", "f2v", "-n", "8", "--gen", "x^2+v*x+1",
           "--metric", "lee"),
          "--metric lee is for --ring r64, not f2v"),
-        (("build-verify", "--ring", "r64", "-n", "7", "--gen", "u^4*(x+1)",
-          "--case", "2"),
-         "--case is for --ring f2v, not r64"),
-        (("export", "--ring", "r64", "-n", "7", "--gen", "u^4*(x+1)",
-          "--case", "2", "--format", "csv"),
-         "--case is for --ring f2v, not r64"),
         # flags a command does not read are errors, not silently dropped
         (("export", "--ring", "r64", "-n", "3", "--gen", "u^5*(x+1)",
           "--format", "csv", "--dna-d", "3", "--metric", "lee",
@@ -520,7 +535,6 @@ FLAG_READERS = {
     "-n": ({"factor", "build-verify", "export"}, "7", "n"),
     "--gen": ({"build-verify", "export"}, "u^4*(x+1)", "gen"),
     "--tower": ({"build-verify", "export"}, ",".join(["x^7+1"] * 6), "tower"),
-    "--case": ({"build-verify", "export"}, "1", "case"),
     "--metric": ({"build-verify"}, "hamming", "metric"),
     "--level": ({"build-verify"}, "codon", "level"),
     "--guard": ({"table", "build-verify", "export"}, "16", "guard"),
@@ -554,8 +568,8 @@ def test_each_command_rejects_the_flags_it_does_not_read(
                     2, f"error: {where} is not used by {command}\n"
                 ), argv
         read += command in readers
-    assert read + 1 == {"factor": 2, "table": 4, "export": 9,
-                        "build-verify": 11}[command]
+    assert read + 1 == {"factor": 2, "table": 4, "export": 8,
+                        "build-verify": 10}[command]
 
 
 # each ring-specific flag: the one ring it is for, a value, its config key
@@ -563,7 +577,6 @@ RING_FLAGS = {
     "--tower": ("r64", ",".join(["x+1"] * 6), "tower"),
     "--level": ("r64", "nucleotide", "level"),
     "--dna-d": ("r64", "3", "dna_d"),
-    "--case": ("f2v", "1", "case"),
 }
 
 

@@ -272,6 +272,23 @@ def test_case3_code_validation():
         SkewCode.from_case3(2, (V, V1))  # mixed units break the v*f1 shape
 
 
+def test_case_is_read_from_the_generators():
+    for gens in ([(ONE, ONE), (V, V)], [(V, V), (ONE, ONE)]):
+        code = SkewCode(4, gens)
+        assert code.case == 2
+        assert code.size() == len(code.words(2**8)) == 64
+    for gens in ([(ONE, ONE), (ONE, ZERO, ONE)],  # two monic
+                 [(V, V), (V1,)],  # two scaled
+                 [],
+                 [(ONE, ONE), (V, V), (V,)],
+                 [(ONE, ONE), ()]):  # a zero generator
+        with pytest.raises(SkewCodeError):
+            SkewCode(4, gens)
+    for n in (2, 4, 6, 8):
+        for code in skew.all_codes(n):
+            assert SkewCode(n, code.generators).case == code.case
+
+
 def test_enumeration_matches_bfs_closure():
     rng = random.Random(709)
     codes = [
