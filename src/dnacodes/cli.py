@@ -219,11 +219,16 @@ def build_skew_code(cfg: JobConfig) -> skew.SkewCode:
         raise UsageError(str(e)) from None
 
 
-def load_costs(cfg: JobConfig) -> metrics.EditCostTable | None:
+def load_costs(cfg: JobConfig, level: str) -> metrics.EditCostTable | None:
+    """The --costs table for a scan at the level; a row naming a symbol
+    the scan never compares is an error."""
     if cfg.costs is None:
         return None
+    alphabet = tuple("ACGT") if level == "nucleotide" else codons.ALL_CODONS
     try:
-        return metrics.EditCostTable.from_csv(Path(cfg.costs).read_text())
+        return metrics.EditCostTable.from_csv(
+            Path(cfg.costs).read_text(), alphabet, f"{level}-level symbol"
+        )
     except OSError as e:
         raise UsageError(f"cannot read cost table: {e}") from None
     except ValueError as e:
@@ -327,10 +332,8 @@ def _min_edit(
         for key in uses:
             report.emit(key, skip)
         return None
-    costs = load_costs(cfg)
-    scan = metrics.min_pairwise(
-        [to_symbols(w, n) for w in words],
-        lambda a, b: metrics.edit_distance(a, b, costs),
+    scan = metrics.min_edit_pairwise(
+        [to_symbols(w, n) for w in words], load_costs(cfg, level)
     )
     if "min_edit" in uses:
         report.emit(f"min_edit_{level}", scan.minimum)

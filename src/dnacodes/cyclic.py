@@ -678,7 +678,7 @@ def edit_bound_check(
     bound_deg = min_deg + 1
     bound_single = code.n - code.rank() + 1
     cutoff = None if exact else min(bound_deg, bound_single)
-    lo = metrics.min_pairwise(symbols, metrics.edit_distance, cutoff)
+    lo = metrics.min_edit_pairwise(symbols, upper_bound=cutoff)
     return EditBoundCheck(
         min_edit=lo.minimum,
         min_edit_exact=lo.exhaustive,

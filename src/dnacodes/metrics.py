@@ -8,9 +8,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Sequence
 
 from . import ring64
 
@@ -44,14 +45,23 @@ class EditCostTable:
         return self._entries.get((a, b), 1.0)
 
     @classmethod
-    def from_csv(cls, text: str) -> "EditCostTable":
+    def from_csv(
+        cls,
+        text: str,
+        alphabet: Collection[str] | None = None,
+        what: str = "symbol of the alphabet",
+    ) -> "EditCostTable":
         """Parse rows of (from_symbol, to_symbol, cost); "-" is the gap.
 
         A first row whose cost column reads "cost" (any case) is a
         header and skipped.  A row without 3 columns, or whose cost is
-        not a finite number, is an error that names its line.
+        not a finite number, is an error that names its line.  Once
+        every row parses, a row with a symbol that is neither the gap
+        nor in ``alphabet`` (when given) is an error too: such a cost
+        could never apply.  ``what`` names one symbol of the alphabet
+        in that error.
         """
-        entries: dict[tuple[str, str], float] = {}
+        rows: list[tuple[str, str, str, float]] = []
         reader = csv.reader(io.StringIO(text))
         for idx, row in enumerate(reader):
             if not row or all(not c.strip() for c in row):
@@ -70,8 +80,15 @@ class EditCostTable:
                 raise ValueError(
                     f"{where}: cost must be a finite number, got {cell!r}"
                 )
-            entries[(a, b)] = cost
-        return cls(entries)
+            rows.append((where, a, b, cost))
+        if alphabet is not None:
+            for where, a, b, _ in rows:
+                for s in (a, b):
+                    if s != GAP and s not in alphabet:
+                        raise ValueError(
+                            f"{where}: {s!r} is neither '-' nor a {what}"
+                        )
+        return cls({(a, b): cost for _, a, b, cost in rows})
 
 
 def edit_distance(
@@ -168,14 +185,16 @@ class MinResult:
 
     With an early exit the minimum is only an upper bound on the true
     minimum (and the maximum a lower bound on the true maximum);
-    ``exhaustive`` says whether every pair was scanned.
+    ``exhaustive`` says whether every pair was scanned, and ``pairs``
+    counts the pairs compared: k(k-1)/2 for k items when exhaustive.
     """
 
     minimum: float
     pair: tuple[int, int]
     count_at_minimum: int
     maximum: float
-    exhaustive: bool = True
+    exhaustive: bool
+    pairs: int
 
 
 def min_pairwise(
@@ -192,7 +211,7 @@ def min_pairwise(
         raise ValueError("need at least two items")
     best = top = None
     pair = (0, 1)
-    hits = 0
+    hits = pairs = 0
     stopped = False
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
@@ -203,10 +222,90 @@ def min_pairwise(
                 hits += 1
             if top is None or d > top:
                 top = d
+        pairs += len(items) - 1 - i
         if upper_bound is not None and best is not None and best <= upper_bound:
             stopped = i < len(items) - 2
             break
-    return MinResult(best, pair, hits, top, exhaustive=not stopped)
+    return MinResult(best, pair, hits, top, not stopped, pairs)
+
+
+# (lane width, memoryview format of an unsigned int of that width)
+_LANES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+
+
+def min_edit_pairwise(
+    items: Sequence[Sequence[Hashable]],
+    costs: EditCostTable | None = None,
+    upper_bound: float | None = None,
+) -> MinResult:
+    """min_pairwise(items, lambda a, b: edit_distance(a, b, costs),
+    upper_bound), field for field.
+
+    With unit costs and items all of one length m, 1 <= m <= 63, row i
+    runs items[i] as the text against every later item as a pattern at
+    once: each pattern has its own W-bit lane of one int (Hyyrö,
+    Fredriksson & Navarro, ACM J. Exp. Algorithmics 10, 2005), and the
+    step of _unit_edit_distance runs once per text symbol for the whole
+    row.  W is the least of 8, 16, 32, 64 above m, so each lane keeps a
+    guard bit for the carry of (eq & pv) + pv, and the masks keep every
+    other bit inside the lane's low m.  Weighted costs, unequal lengths
+    and m = 0 or m >= 64 go pair by pair through min_pairwise.
+    """
+    m = len(items[0]) if items else 0
+    if (costs is not None or len(items) < 2 or not 0 < m < 64
+            or any(len(x) != m for x in items)):
+        return min_pairwise(
+            items, lambda a, b: edit_distance(a, b, costs), upper_bound
+        )
+    width, fmt = next(lane for lane in _LANES if lane[0] > m)
+    k = len(items)
+    # peq[a]: bit p of lane j set where items[j][p] == a, built once
+    peq: dict[Hashable, int] = {}
+    for j, item in enumerate(items):
+        for bit, a in enumerate(item, width * j):
+            peq[a] = peq.get(a, 0) | 1 << bit
+    ones_all = ((1 << width * k) - 1) // ((1 << width) - 1)  # bit 0 per lane
+    best = top = None
+    pair = (0, 1)
+    hits = pairs = 0
+    stopped = False
+    for i in range(k - 1):
+        # lane j of this row's ints is items[i + 1 + j]
+        shift = width * (i + 1)
+        lanes = k - 1 - i
+        ones = ones_all >> shift
+        mask = ones * ((1 << m) - 1)
+        top_bits = ones << m - 1
+        pv, mv, score = mask, 0, ones * m
+        for a in items[i]:
+            eq = peq[a] >> shift
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | (mask & ~(xh | pv))
+            mh = pv & xh
+            # each lane's score stays in 0..m, so no lane borrows
+            score += ((ph & top_bits) - (mh & top_bits)) >> m - 1
+            ph = (ph << 1) | ones
+            pv = ((mh << 1) | ~(xv | ph)) & mask
+            mv = ph & xv
+        # in native byte order the cast reads one lane per item, last
+        # lane first on a big-endian host
+        raw = score.to_bytes(lanes * width // 8, sys.byteorder)
+        row = memoryview(raw).cast(fmt).tolist()
+        if sys.byteorder == "big":
+            row.reverse()
+        low, high = min(row), max(row)
+        if best is None or low < best:
+            best, pair, hits = low, (i, i + 1 + row.index(low)), row.count(low)
+        elif low == best:
+            hits += row.count(low)
+        if top is None or high > top:
+            top = high
+        pairs += lanes
+        if upper_bound is not None and best <= upper_bound:
+            stopped = i < k - 2
+            break
+    return MinResult(best, pair, hits, top, not stopped, pairs)
 
 
 def min_nonzero_hamming_weight(words: Iterable[int], n: int) -> int:
@@ -239,6 +338,7 @@ __all__ = [
     "hamming_distance",
     "MinResult",
     "min_pairwise",
+    "min_edit_pairwise",
     "min_nonzero_hamming_weight",
     "min_nonzero_lee_weight",
 ]

@@ -431,6 +431,10 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
     zero_n.write_text("ring = f2v\nn = 0\ngen = x+1\n")
     case_key = tmp_path / "case.cfg"
     case_key.write_text("case = 1\nring = f2v\nn = 4\ngen = x+1\n")
+    nucleotide_costs = tmp_path / "nucleotide.csv"
+    nucleotide_costs.write_text("A,G,0.5\n")
+    codon_costs = tmp_path / "codon.csv"
+    codon_costs.write_text("from,to,cost\nA,-,1.5\nGGG,CCC,0.5\n")
     cases = [
         (("build-verify", "--config", str(bad_number)),
          "config line 2: bad value for n: 'seven'"),
@@ -442,6 +446,15 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
           "--gen", "u^4*(x+1)*(x^3+x+1)", "--metric", "edit",
           "--costs", str(bad_costs)),
          "cost table line 2: bad cost value 'cheap'"),
+        # a cost whose symbols the scan never compares could never apply
+        (("build-verify", "--ring", "r64", "-n", "7",
+          "--gen", "u^4*(x+1)*(x^3+x+1)", "--metric", "edit",
+          "--costs", str(nucleotide_costs)),
+         "cost table line 1: 'A' is neither '-' nor a codon-level symbol"),
+        (("build-verify", "--ring", "f2v", "-n", "4", "--gen", "x+1",
+          "--metric", "edit", "--costs", str(codon_costs)),
+         "cost table line 3: 'GGG' is neither '-' nor a nucleotide-level "
+         "symbol"),
         (("build-verify", "--ring", "r64", "-n", "7",
           "--gen", "u^0*(x^7+1)", "--dna-d", "3"),  # a one-word code
          "--dna-d needs a code of at least two words"),

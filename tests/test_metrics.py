@@ -1,5 +1,6 @@
 """Edit distance, Hamming distance, and pairwise-minimum scans."""
 
+import functools
 import random
 
 import pytest
@@ -155,6 +156,18 @@ def test_cost_table_rejects_bad_rows():
         EditCostTable.from_csv("A,B")
 
 
+def test_cost_table_rejects_symbols_outside_the_alphabet_after_parsing():
+    table = EditCostTable.from_csv("A,-,2\n-,T,3\n", "ACGT", "base")
+    assert (table.cost("A", "-"), table.cost("-", "T")) == (2, 3)
+    with pytest.raises(ValueError, match="^cost table line 2: 'N' is neither '-' nor a base$"):
+        EditCostTable.from_csv("A,G,0.5\nN,-,1\n", "ACGT", "base")
+    with pytest.raises(ValueError, match="^cost table line 1: 'AC' is neither"):
+        EditCostTable.from_csv("AC,G,1\n", tuple("ACGT"), "base")
+    # every row parses before any symbol is checked
+    with pytest.raises(ValueError, match="^cost table line 2: bad cost value 'x'$"):
+        EditCostTable.from_csv("GGG,A,1\nA,G,x\n", "ACGT", "base")
+
+
 def test_cost_table_header_only_where_the_cost_column_reads_cost():
     assert EditCostTable.from_csv("From,To,COST\nA,G,0.5\n").cost("A", "G") == 0.5
     with pytest.raises(ValueError, match="^cost table line 1: bad cost value '0..5'$"):
@@ -196,6 +209,7 @@ def test_min_pairwise_exhaustive():
     assert res.minimum == 1
     assert res.count_at_minimum == 2
     assert res.exhaustive is True
+    assert res.pairs == 6
     i, j = res.pair
     assert metrics.edit_distance(items[i], items[j]) == 1
 
@@ -217,6 +231,9 @@ def test_min_pairwise_maximum_matches_brute_force():
 def test_min_pairwise_needs_two_items():
     with pytest.raises(ValueError):
         metrics.min_pairwise(["solo"], metrics.edit_distance)
+    for items in ([], ["solo"], [""]):
+        with pytest.raises(ValueError, match="^need at least two items$"):
+            metrics.min_edit_pairwise(items)
 
 
 def test_min_pairwise_early_exit_is_a_sound_upper_bound():
@@ -230,11 +247,89 @@ def test_min_pairwise_early_exit_is_a_sound_upper_bound():
             items, metrics.edit_distance, upper_bound=3
         )
         assert bounded.minimum >= exact.minimum
+        assert exact.pairs == 12 * 11 // 2
         if bounded.exhaustive:
             assert bounded.minimum == exact.minimum
         else:
             # the scan stopped because it had already certified the bound
             assert bounded.minimum <= 3
+
+
+def random_items(rng, alphabet, m, k):
+    """k distinct items of length m (fewer if the alphabet runs out),
+    as strings over a str alphabet and as tuples otherwise."""
+    items = {}
+    for _ in range(4 * k):
+        x = tuple(rng.choice(alphabet) for _ in range(m))
+        items[x if not isinstance(alphabet, str) else "".join(x)] = None
+        if len(items) == k:
+            break
+    return list(items)
+
+
+def assert_packed_scan_matches_dp(items, upper_bounds, dp):
+    """dp: dp_edit_distance, cached across the calls of one test."""
+    for ub in upper_bounds:
+        want = metrics.min_pairwise(items, dp, ub)
+        assert metrics.min_edit_pairwise(items, upper_bound=ub) == want, ub
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 15, 16, 31, 32, 33, 63, 64])
+@pytest.mark.parametrize("k", [2, 3, 12])
+def test_min_edit_pairwise_matches_the_dp_at_lane_edges(m, k):
+    """Every field of the packed scan against min_pairwise over the
+    per-cell DP, at the lane-width edges (m = 64 takes the per-pair
+    path), over strings, codon tuples and a one-symbol alphabet, with
+    a repeated item and with bounds that stop after the first row."""
+    rng = random.Random(1000 * m + k)
+    dp = functools.cache(dp_edit_distance)
+    for alphabet in ("ACGT", CODON_ALPHABET):
+        items = random_items(rng, alphabet, m, k)
+        assert_packed_scan_matches_dp(items, (None, 0, m // 2, m), dp)
+        assert_packed_scan_matches_dp(items + items[:1], (None, 0), dp)
+    assert_packed_scan_matches_dp(["A" * m] * k, (None, 0), dp)
+
+
+def test_min_edit_pairwise_unequal_lengths_and_weighted_costs():
+    """Unequal lengths and cost tables go pair by pair: same result as
+    min_pairwise over edit_distance, with and without a bound."""
+    rng = random.Random(0x5CA7)
+    costs = random_cost_table(rng, "ACGT")
+    for _ in range(20):
+        items = [
+            "".join(rng.choice("ACGT") for _ in range(rng.randrange(9)))
+            for _ in range(rng.randrange(2, 14))
+        ]
+        assert_packed_scan_matches_dp(items, (None, 0, 2), dp_edit_distance)
+        fixed = [x.ljust(8, "A") for x in items]
+        for table, ub in ((costs, None), (costs, 3.0), (None, 2)):
+            want = metrics.min_pairwise(
+                fixed, lambda a, b: metrics.edit_distance(a, b, table), ub
+            )
+            assert metrics.min_edit_pairwise(fixed, table, ub) == want
+
+
+@pytest.mark.parametrize("alphabet, m", [(CODON_ALPHABET, 7), ("ACGT", 21)])
+def test_min_edit_pairwise_stops_after_the_row_that_meets_the_bound(
+    alphabet, m
+):
+    """About 60 distinct items with one repeated pair: at bound 0 the
+    scan stops after the repeat's row, and stopping at row k - 2 still
+    scans every pair."""
+    rng = random.Random(m)
+    base = random_items(rng, alphabet, m, 60)
+    k = len(base)
+    assert k == 60
+    dp = functools.cache(dp_edit_distance)
+    assert_packed_scan_matches_dp(base, (None, 1, 2, 3), dp)
+    for i, j, rows in ((0, 30, 1), (29, 30, 30), (k - 2, k - 1, k - 1)):
+        items = list(base)
+        items[j] = items[i]
+        got = metrics.min_edit_pairwise(items, upper_bound=0)
+        assert (got.minimum, got.pair, got.count_at_minimum) == (0, (i, j), 1)
+        assert got.pairs == sum(k - 1 - r for r in range(rows))
+        assert got.exhaustive == (rows == k - 1)
+        assert_packed_scan_matches_dp(items, (None, 0), dp)
 
 
 def test_min_nonzero_weights_match_pairwise_distance():
