@@ -321,6 +321,7 @@ def _min_edit(
     n: int,
     level: str,
     to_symbols: Callable[[int, int], Sequence],
+    costs: metrics.EditCostTable | None,
     uses: Sequence[str],
 ) -> metrics.MinResult | None:
     """The run's one all-pairs edit scan over the words' symbols at the
@@ -332,15 +333,14 @@ def _min_edit(
         for key in uses:
             report.emit(key, skip)
         return None
-    scan = metrics.min_edit_pairwise(
-        [to_symbols(w, n) for w in words], load_costs(cfg, level)
-    )
+    scan = metrics.min_edit_pairwise([to_symbols(w, n) for w in words], costs)
     if "min_edit" in uses:
         report.emit(f"min_edit_{level}", scan.minimum)
     return scan
 
 
 def _verify_r64(cfg: JobConfig, report: Report) -> None:
+    costs = load_costs(cfg, cfg.level)
     code = build_r64_code(cfg)
     n = code.n
     report.emit("ring", "r64")
@@ -407,7 +407,9 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
         to_symbols = codons.canonical_table().encode_word
     else:
         to_symbols = cyclic.codon_symbols
-    scan = _min_edit(cfg, report, words, n, cfg.level, to_symbols, uses)
+    scan = _min_edit(
+        cfg, report, words, n, cfg.level, to_symbols, costs, uses
+    )
     if scan is None:
         return
     if edit:
@@ -430,6 +432,7 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
 def _verify_f2v(cfg: JobConfig, report: Report) -> None:
     if cfg.metric == "lee":
         raise UsageError("--metric lee is for --ring r64, not f2v")
+    costs = load_costs(cfg, "nucleotide")
     code = build_skew_code(cfg)
     n = code.n
     report.emit("ring", "f2v")
@@ -475,7 +478,7 @@ def _verify_f2v(cfg: JobConfig, report: Report) -> None:
             )
         if cfg.metric in ("edit", "all"):
             _min_edit(cfg, report, words, n, "nucleotide", skew.word_to_dna,
-                      ["min_edit"])
+                      costs, ["min_edit"])
 
 
 def cmd_build_verify(cfg: JobConfig) -> int:

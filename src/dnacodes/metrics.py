@@ -9,8 +9,9 @@ import csv
 import io
 import math
 import sys
+from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Callable, Collection, Hashable, Iterable, Sequence
 
 from . import ring64
@@ -229,7 +230,7 @@ def min_pairwise(
     return MinResult(best, pair, hits, top, not stopped, pairs)
 
 
-# (lane width, memoryview format of an unsigned int of that width)
+# (lane width, array/memoryview format of an unsigned int of that width)
 _LANES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
 
 
@@ -241,22 +242,87 @@ def min_edit_pairwise(
     """min_pairwise(items, lambda a, b: edit_distance(a, b, costs),
     upper_bound), field for field.
 
-    With unit costs and items all of one length m, 1 <= m <= 63, row i
-    runs items[i] as the text against every later item as a pattern at
-    once: each pattern has its own W-bit lane of one int (Hyyrö,
-    Fredriksson & Navarro, ACM J. Exp. Algorithmics 10, 2005), and the
-    step of _unit_edit_distance runs once per text symbol for the whole
-    row.  W is the least of 8, 16, 32, 64 above m, so each lane keeps a
-    guard bit for the carry of (eq & pv) + pv, and the masks keep every
-    other bit inside the lane's low m.  Weighted costs, unequal lengths
-    and m = 0 or m >= 64 go pair by pair through min_pairwise.
+    For items all of one length m >= 1, row i runs items[i] against
+    every later item at once, one W-bit lane of an int per later item
+    (Hyyrö, Fredriksson & Navarro, ACM J. Exp. Algorithmics 10, 2005),
+    W the least of 8, 16, 32, 64 that leaves each lane a guard bit.
+    With unit costs (m <= 63) the lanes run the bit-vector step of
+    _unit_edit_distance; with a cost table they run the min-plus DP
+    (see _weighted_rows) when its float sums are exact.  Unequal
+    lengths, m = 0, m >= 64 at unit cost and cost tables whose sums
+    may round go pair by pair through min_pairwise.
     """
+    k = len(items)
     m = len(items[0]) if items else 0
-    if (costs is not None or len(items) < 2 or not 0 < m < 64
-            or any(len(x) != m for x in items)):
-        return min_pairwise(
-            items, lambda a, b: edit_distance(a, b, costs), upper_bound
-        )
+    if k > 1 and m and all(len(x) == m for x in items):
+        if costs is None:
+            if m < 64:
+                return _scan_rows(_unit_rows(items, m), upper_bound, int)
+        else:
+            exact = _scaled_costs(items, m, costs)
+            if exact is not None:
+                denominator, scaled, width, fmt = exact
+                return _scan_rows(
+                    _weighted_rows(items, m, scaled, width, fmt),
+                    upper_bound, lambda v: v / denominator,
+                )
+    return min_pairwise(
+        items, lambda a, b: edit_distance(a, b, costs), upper_bound
+    )
+
+
+def _scan_rows(
+    rows: Iterable[list[int]],
+    upper_bound: float | None,
+    value: Callable[[int], float],
+) -> MinResult:
+    """min_pairwise's bookkeeping, where the i-th row holds the lane
+    values from items[i] to items[i + 1], items[i + 2], ... and value(v)
+    is the distance a lane value stands for (exact and increasing, so
+    lane values compare as the distances do)."""
+    best = top = None
+    pair = (0, 1)
+    hits = pairs = 0
+    stopped = False
+    for i, row in enumerate(rows):
+        low, high = min(row), max(row)
+        if best is None or low < best:
+            best, pair, hits = low, (i, i + 1 + row.index(low)), row.count(low)
+        elif low == best:
+            hits += row.count(low)
+        if top is None or high > top:
+            top = high
+        pairs += len(row)
+        if upper_bound is not None and value(best) <= upper_bound:
+            stopped = len(row) > 1  # rows follow unless this is the last
+            break
+    return MinResult(value(best), pair, hits, value(top), not stopped, pairs)
+
+
+def _pack(values: Sequence[int], fmt: str) -> int:
+    """One int whose lane j (of the format's width) holds values[j]."""
+    if sys.byteorder == "big":
+        values = values[::-1]
+    return int.from_bytes(array(fmt, values).tobytes(), sys.byteorder)
+
+
+def _unpack(packed: int, lanes: int, width: int, fmt: str) -> list[int]:
+    """The first lanes lanes of packed, lane 0 first: in native byte
+    order the cast reads one lane per int, last lane first on a
+    big-endian host."""
+    raw = packed.to_bytes(lanes * width // 8, sys.byteorder)
+    row = memoryview(raw).cast(fmt).tolist()
+    if sys.byteorder == "big":
+        row.reverse()
+    return row
+
+
+def _unit_rows(items: Sequence[Sequence[Hashable]], m: int):
+    """Unit-cost distances, row by row, for 1 <= m <= 63: row i runs
+    items[i] as the text and lane j of each int is the pattern
+    items[i + 1 + j].  Each lane keeps a guard bit for the carry of
+    (eq & pv) + pv, and the masks keep every other bit inside the
+    lane's low m."""
     width, fmt = next(lane for lane in _LANES if lane[0] > m)
     k = len(items)
     # peq[a]: bit p of lane j set where items[j][p] == a, built once
@@ -265,14 +331,8 @@ def min_edit_pairwise(
         for bit, a in enumerate(item, width * j):
             peq[a] = peq.get(a, 0) | 1 << bit
     ones_all = ((1 << width * k) - 1) // ((1 << width) - 1)  # bit 0 per lane
-    best = top = None
-    pair = (0, 1)
-    hits = pairs = 0
-    stopped = False
     for i in range(k - 1):
-        # lane j of this row's ints is items[i + 1 + j]
         shift = width * (i + 1)
-        lanes = k - 1 - i
         ones = ones_all >> shift
         mask = ones * ((1 << m) - 1)
         top_bits = ones << m - 1
@@ -288,24 +348,89 @@ def min_edit_pairwise(
             ph = (ph << 1) | ones
             pv = ((mh << 1) | ~(xv | ph)) & mask
             mv = ph & xv
-        # in native byte order the cast reads one lane per item, last
-        # lane first on a big-endian host
-        raw = score.to_bytes(lanes * width // 8, sys.byteorder)
-        row = memoryview(raw).cast(fmt).tolist()
-        if sys.byteorder == "big":
-            row.reverse()
-        low, high = min(row), max(row)
-        if best is None or low < best:
-            best, pair, hits = low, (i, i + 1 + row.index(low)), row.count(low)
-        elif low == best:
-            hits += row.count(low)
-        if top is None or high > top:
-            top = high
-        pairs += lanes
-        if upper_bound is not None and best <= upper_bound:
-            stopped = i < k - 2
-            break
-    return MinResult(best, pair, hits, top, not stopped, pairs)
+        yield _unpack(score, k - 1 - i, width, fmt)
+
+
+def _scaled_costs(
+    items: Sequence[Sequence[Hashable]], m: int, costs: EditCostTable
+) -> tuple[int, dict[tuple[Hashable, Hashable], int], int, str] | None:
+    """(D, scaled, W, format): every cost a scan of items can look up,
+    times D, the largest denominator among them, as exact ints; or None
+    unless every such cost is dyadic and B = (2m + 1) * max scaled cost
+    is below 2^53.  Every DP candidate is a path cost of at most 2m
+    steps, so under B every float sum of edit_distance is exact, and
+    its DP is the int DP over D.  W is the least lane width with
+    B < 2^(W - 1), which keeps every lane's guard bit clear."""
+    symbols = set().union(*items) | {GAP}
+    ratios = {
+        (a, b): costs.cost(a, b).as_integer_ratio()
+        for a in symbols for b in symbols
+    }
+    if any(q & (q - 1) for _, q in ratios.values()):
+        return None
+    denominator = max(q for _, q in ratios.values())
+    scaled = {key: p * (denominator // q) for key, (p, q) in ratios.items()}
+    bound = (2 * m + 1) * max(scaled.values())
+    if bound >= 1 << 53:
+        return None
+    width, fmt = next(lane for lane in _LANES if bound < 1 << lane[0] - 1)
+    return denominator, scaled, width, fmt
+
+
+def _weighted_rows(
+    items: Sequence[Sequence[Hashable]],
+    m: int,
+    scaled: dict[tuple[Hashable, Hashable], int],
+    width: int,
+    fmt: str,
+):
+    """Scaled weighted distances, row by row: row i runs the DP of
+    edit_distance with items[i] as x, and lane j of each cell's int is
+    the cell for y = items[i + 1 + j].  Each cell is the min of
+    diag + sub, up + del and left + ins, by two SWAR minima: the guard
+    bit H of a lane survives (p | H) - q exactly when p >= q, and
+    t - (t >> W-1) widens it to the lane's low bits.  The per-column
+    sub and ins ints are packed once for all items and shifted down to
+    the row's lanes."""
+    k = len(items)
+    symbols = set().union(*items)
+    # column b, lane j: the cost of inserting items[j][b], or of
+    # substituting a for it
+    ins_cols = [_pack([scaled[GAP, y[b]] for y in items], fmt)
+                for b in range(m)]
+    sub_cols = {
+        a: [_pack([scaled[a, y[b]] for y in items], fmt) for b in range(m)]
+        for a in symbols
+    }
+    first_row = list(accumulate(ins_cols, initial=0))
+    ones_all = _pack([1] * k, fmt)
+    w1 = width - 1
+    for i in range(k - 1):
+        shift = width * (i + 1)
+        ones = ones_all >> shift
+        guard = ones << w1
+        ins = [c >> shift for c in ins_cols]
+        sub_rows: dict[Hashable, list[int]] = {}
+        prev = [c >> shift for c in first_row]
+        for a in items[i]:
+            sub = sub_rows.get(a)
+            if sub is None:
+                sub = sub_rows[a] = [c >> shift for c in sub_cols[a]]
+            dele = ones * scaled[a, GAP]
+            left = prev[0] + dele
+            cur = [left]
+            for diag, up, s, c in zip(prev, prev[1:], sub, ins):
+                best = diag + s
+                step = up + dele
+                t = ((best | guard) - step) & guard
+                best ^= (best ^ step) & (t - (t >> w1))
+                step = left + c
+                t = ((best | guard) - step) & guard
+                best ^= (best ^ step) & (t - (t >> w1))
+                cur.append(best)
+                left = best
+            prev = cur
+        yield _unpack(prev[-1], k - 1 - i, width, fmt)
 
 
 def min_nonzero_hamming_weight(words: Iterable[int], n: int) -> int:

@@ -523,6 +523,13 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
         (("table", "-w", "3", "--guard", "0"), "--guard must be >= 1, got 0"),
         (("build-verify", "--config", str(zero_guard)),
          "config line 4: guard must be >= 1, got 0"),
+        # the cost table is read whether or not an edit scan runs
+        *((("build-verify", "--ring", "r64", "-n", "7", "--gen", gen,
+            "--metric", metric, "--costs", "/nonexistent.csv"),
+           "cannot read cost table: [Errno 2] No such file or directory: "
+           "'/nonexistent.csv'")
+          for gen, metric in (("u^4*(x+1)*(x^3+x+1)", "hamming"),
+                              ("u^4*(x+1)", "all"))),  # scan over the cap
     ]
     for argv, message in cases:
         code, _, err = run(capsys, *argv)

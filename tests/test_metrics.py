@@ -291,8 +291,9 @@ def test_min_edit_pairwise_matches_the_dp_at_lane_edges(m, k):
 
 
 def test_min_edit_pairwise_unequal_lengths_and_weighted_costs():
-    """Unequal lengths and cost tables go pair by pair: same result as
-    min_pairwise over edit_distance, with and without a bound."""
+    """Unequal lengths (pair by pair) and integer cost tables (the
+    packed min-plus scan): same result as min_pairwise over
+    edit_distance, with and without a bound."""
     rng = random.Random(0x5CA7)
     costs = random_cost_table(rng, "ACGT")
     for _ in range(20):
@@ -330,6 +331,109 @@ def test_min_edit_pairwise_stops_after_the_row_that_meets_the_bound(
         assert got.pairs == sum(k - 1 - r for r in range(rows))
         assert got.exhaustive == (rows == k - 1)
         assert_packed_scan_matches_dp(items, (None, 0), dp)
+
+
+def dyadic_cost_table(rng, symbols, top):
+    """Every entry, the diagonal and the gaps included, a random multiple
+    of 0.125 in 0..1 (zeros and nonzero diagonal entries among them),
+    one entry exactly 0.125, and insertions costing top."""
+    everything = list(symbols) + ["-"]
+    entries = {
+        (a, b): 0.125 * rng.randrange(9)
+        for a in everything for b in everything if not a == b == "-"
+    }
+    entries[symbols[0], symbols[-1]] = 0.125
+    entries.update({("-", b): top for b in symbols})
+    return EditCostTable(entries)
+
+
+def assert_weighted_scan_matches(items, costs, upper_bounds):
+    for ub in upper_bounds:
+        want = metrics.min_pairwise(
+            items, lambda a, b: metrics.edit_distance(a, b, costs), ub
+        )
+        got = metrics.min_edit_pairwise(items, costs, ub)
+        assert got == want, ub
+        assert type(got.minimum) is float and type(got.maximum) is float
+
+
+@pytest.mark.parametrize("width, next_width", [
+    (8, 16), (16, 32), (32, 64), (64, None),
+])
+def test_weighted_packed_scan_at_each_lane_width_limit(width, next_width):
+    """Every cost c but the diagonal's zeros, with B = (2m + 1)c the
+    largest below 2^(W-1) (below 2^53 for W = 64), so that distances
+    run to about half of each W-bit lane; at c + 1 the scan takes the
+    next width, or the per-pair scan past 64 bits.  Strings and codon
+    tuples, with bounds that stop after the first row or never."""
+    rng = random.Random(width)
+    m = 7
+    c = ((1 << min(width - 1, 53)) - 1) // (2 * m + 1)
+    for alphabet in ("ACGT", CODON_ALPHABET):
+        everything = list(alphabet) + ["-"]
+        for cost, want in ((c, width), (c + 1, next_width)):
+            costs = EditCostTable({
+                (a, b): float(cost)
+                for a in everything for b in everything if a != b
+            })
+            for k in (2, 3, 12):
+                items = random_items(rng, alphabet, m, k)
+                exact = metrics._scaled_costs(items, m, costs)
+                assert (exact[2] if exact else None) == want
+                assert_weighted_scan_matches(
+                    items, costs, (None, 0.0, float(cost * m))
+                )
+                got = metrics.min_edit_pairwise(items, costs, cost * m)
+                assert got.pairs == k - 1 and got.exhaustive == (k == 2)
+
+
+def test_weighted_packed_scan_matches_the_dp_on_random_tables():
+    rng = random.Random(0x125)
+    for _ in range(40):
+        alphabet = rng.choice(("ACGT", "AC", CODON_ALPHABET))
+        costs = dyadic_cost_table(rng, alphabet, 0.125 * rng.randrange(17))
+        m = rng.randrange(1, 10)
+        items = random_items(rng, alphabet, m, rng.randrange(2, 15))
+        if len(items) < 2:
+            continue
+        assert metrics._scaled_costs(items, m, costs) is not None
+        assert_weighted_scan_matches(items, costs, (None, 0.5, 2.0))
+
+
+@pytest.mark.parametrize("alphabet, m", [(CODON_ALPHABET, 7), ("ACGT", 21)])
+def test_weighted_packed_scan_stops_after_the_repeated_pair(alphabet, m):
+    """With a zero diagonal a repeated item is at distance 0.0, and a
+    bound of 0 stops after the row of its first copy."""
+    rng = random.Random(m)
+    entries = {(a, a): 0.0 for a in alphabet}
+    entries.update({(a, "-"): 0.75 for a in alphabet})
+    entries[alphabet[0], alphabet[1]] = 0.25
+    costs = EditCostTable(entries)
+    base = random_items(rng, alphabet, m, 40)
+    k = len(base)
+    for i, j in ((0, 20), (19, 20), (k - 2, k - 1)):
+        items = list(base)
+        items[j] = items[i]
+        got = metrics.min_edit_pairwise(items, costs, upper_bound=0)
+        assert (got.minimum, got.pair, got.count_at_minimum) == (0.0, (i, j), 1)
+        assert got.pairs == sum(k - 1 - r for r in range(i + 1))
+        assert_weighted_scan_matches(items, costs, (None, 0, 1.5))
+
+
+def test_weighted_scan_falls_back_where_float_sums_may_round():
+    """A 0.1 cost, a cost range too wide for 64-bit lanes and unequal
+    lengths take the per-pair scan, with the same result."""
+    rng = random.Random(0xF10A7)
+    items = random_items(rng, "ACGT", 6, 10)
+    tenth = EditCostTable({("A", "C"): 0.1, ("G", "-"): 0.3})
+    wide = dyadic_cost_table(rng, "ACGT", 2.0 ** 50)
+    for costs in (tenth, wide):
+        assert metrics._scaled_costs(items, 6, costs) is None
+        assert_weighted_scan_matches(items, costs, (None, 0.1, 1.0))
+    ragged = items[:5] + [x[:3] for x in items[5:]]
+    assert_weighted_scan_matches(
+        ragged, dyadic_cost_table(rng, "ACGT", 1.0), (None, 0.5)
+    )
 
 
 def test_min_nonzero_weights_match_pairwise_distance():
