@@ -15,6 +15,7 @@ consistency checks can fail a run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -30,6 +31,15 @@ EDIT_SCAN_MAX_WORDS = 1024
 
 class UsageError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _writing_out():
+    """Report an --out path that cannot be written as a usage error."""
+    try:
+        yield
+    except OSError as e:
+        raise UsageError(f"cannot write output: {e}") from None
 
 
 # -- configuration -----------------------------------------------------------
@@ -284,7 +294,7 @@ def _enumerate(
     code: cyclic.LinearCode,
     alg_closed: bool,
     word_str: Callable[[int, int], str],
-) -> tuple[tuple[int, ...], tuple[bool, int | None]] | None:
+) -> tuple[Sequence[int], tuple[bool, int | None]] | None:
     """Enumerate the code unless it is over the guard, and check the
     enumerated rc-closure against the algebraic one; word_str renders a
     witness.  Returns the ascending words and their
@@ -496,13 +506,16 @@ def cmd_table(cfg: JobConfig) -> int:
         raise UsageError("table needs --which 1..5")
     if cfg.which not in (1, 2, 3, 4, 5):
         raise UsageError(f"no such table: {cfg.which}")
+    if cfg.out:
+        out_dir = Path(cfg.out)
+        with _writing_out():
+            out_dir.mkdir(parents=True, exist_ok=True)
     rep = reference_tables.regenerate(cfg.which, cfg.guard)
     print(rep.text(), end="")
     if cfg.out:
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"table{cfg.which}.csv").write_text(rep.csv())
-        (out_dir / f"table{cfg.which}.diff.csv").write_text(rep.diff_csv())
+        with _writing_out():
+            (out_dir / f"table{cfg.which}.csv").write_text(rep.csv())
+            (out_dir / f"table{cfg.which}.diff.csv").write_text(rep.diff_csv())
         print(f"written: {out_dir / f'table{cfg.which}.csv'}")
         print(f"written: {out_dir / f'table{cfg.which}.diff.csv'}")
     return 0
@@ -530,7 +543,8 @@ def cmd_export(cfg: JobConfig) -> int:
     else:
         payload = "\n".join(to_row(w, n) for w in words) + "\n"
     if cfg.out:
-        Path(cfg.out).write_text(payload)
+        with _writing_out():
+            Path(cfg.out).write_text(payload)
         print(f"written: {cfg.out} ({len(words)} records)")
     else:
         print(payload, end="")
@@ -565,9 +579,10 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
     cfg, places = JobConfig(), {}
     if args.config:
         try:
-            cfg, places = JobConfig.read(Path(args.config).read_text())
-        except OSError as e:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
             raise UsageError(f"cannot read config: {e}") from None
+        cfg, places = JobConfig.read(text)
     if cfg.command not in (None, args.command):
         raise UsageError(f"{places['command']} = {cfg.command}, "
                          f"but the command is {args.command}")

@@ -12,6 +12,8 @@ its reverse-complement checks are shared with the skew cyclic codes.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -107,17 +109,32 @@ class Echelon:
     def basis(self) -> tuple[int, ...]:
         return tuple(self._rows[k] for k in sorted(self._rows, reverse=True))
 
-    def span(self, guard: int = DEFAULT_GUARD) -> list[int]:
-        """All 2^dim spanned vectors, ascending (rows added by lead)."""
+    def span(self, guard: int = DEFAULT_GUARD) -> Sequence[int]:
+        """All 2^dim spanned vectors, ascending (rows added by lead): an
+        array('Q') when they fit in 64 bits, else a list."""
         if 1 << self.dim > guard:
             raise GuardExceeded(
                 f"span has {1 << self.dim} words, above the guard {guard}",
                 1 << self.dim,
             )
-        out = [0]
-        for _, row in sorted(self._rows.items()):
-            out += [w ^ row for w in out]
-        return out
+        rows = [row for _, row in sorted(self._rows.items())]
+        if rows and rows[-1] >> 64:
+            out = [0]
+            for row in rows:
+                out += [w ^ row for w in out]
+            return out
+        packed = array("Q", (0,))
+        for row in rows:
+            packed.frombytes(_xor_packed(packed, row))
+        return packed
+
+
+def _xor_packed(words: array, v: int) -> bytes:
+    """The bytes of array('Q') words, each XORed with v (below 2^64),
+    made by one XOR of whole-array ints rather than a step per word."""
+    order = sys.byteorder
+    mask = int.from_bytes(v.to_bytes(8, order) * len(words), order)
+    return (int.from_bytes(words, order) ^ mask).to_bytes(8 * len(words), order)
 
 
 def has_word(words: Sequence[int], w: int) -> bool:
@@ -137,7 +154,8 @@ def linear_basis(words: Sequence[int]) -> tuple[int, ...] | None:
     so those are the members taken.  With the rows by ascending lead,
     the 2^k span words are compared in 2^(k - k//2) blocks: one word of
     the span of the last rows XORed with each word of the span of the
-    first k//2, so no list of 2^k words is built.
+    first k//2, so no list of 2^k words is built.  Packed words compare
+    a block at a time as bytes.
     """
     size = len(words)
     if not size or words[0] or size & (size - 1):
@@ -150,9 +168,13 @@ def linear_basis(words: Sequence[int]) -> tuple[int, ...] | None:
     rows = basis[::-1]
     low = Echelon(rows[: k // 2]).span()
     step = len(low)
+    packed = isinstance(words, array) and isinstance(low, array)
     for h, high in enumerate(Echelon(rows[k // 2 :]).span()):
         block = words[h * step : (h + 1) * step]
-        if list(block) != list(map(high.__xor__, low)):
+        if packed:
+            if block.tobytes() != _xor_packed(low, high):
+                return None
+        elif list(block) != list(map(high.__xor__, low)):
             return None
     return basis
 
@@ -210,9 +232,10 @@ class LinearCode:
     def basis(self) -> tuple[int, ...]:
         return self._echelon.basis()
 
-    def words(self, guard: int = DEFAULT_GUARD) -> tuple[int, ...]:
-        """The full word set, ascending; raises GuardExceeded when too big."""
-        return tuple(self._echelon.span(guard))
+    def words(self, guard: int = DEFAULT_GUARD) -> Sequence[int]:
+        """The full word set, ascending, as Echelon.span gives it; raises
+        GuardExceeded when too big."""
+        return self._echelon.span(guard)
 
     def contains_code(self, other: "LinearCode") -> bool:
         return all(self.contains(b) for b in other.basis())
@@ -524,15 +547,20 @@ class SubcodeU2Report:
 
 
 def subcode_u2(code: CyclicCodeR) -> CyclicCodeR:
-    """The subcode {w in C : every coordinate is a multiple of u^2}."""
+    """The subcode {w in C : every coordinate is a multiple of u^2}.
+
+    The level-major rows below 2^(4n) span C ∩ u^2 R^n over F2, so
+    their words are its echelon basis as they stand, with no expansion
+    into shifts and u-multiples."""
     n = code.n
     limit = 1 << (4 * n)
-    gens = [
+    sub = CyclicCodeR(n, (
         levelmajor_to_word(row, n)
         for row in code.levelmajor_echelon.basis()
         if row < limit
-    ]
-    return CyclicCodeR(n, gens)
+    ))
+    sub._echelon = Echelon(sub.generators)
+    return sub
 
 
 def subcode_u2_report(code: CyclicCodeR) -> SubcodeU2Report:
@@ -627,14 +655,17 @@ class GrayImageReport:
 def gray_image_report(words: Iterable[int], n: int) -> GrayImageReport:
     """The binary Gray image of a packed word is the word itself read as
     6n bits, so the image of a cyclic code must be XOR-closed and closed
-    under rotation by 6 bits.  words are distinct, in any order."""
-    listing = sorted(words)
-    basis = linear_basis(listing)
+    under rotation by 6 bits.  words are distinct, in any order; a
+    sequence already in LinearCode.words order is checked uncopied."""
+    basis = linear_basis(words) if isinstance(words, Sequence) else None
+    if basis is None:
+        words = sorted(words)
+        basis = linear_basis(words)
     return GrayImageReport(
         bit_length=6 * n,
         linear=basis is not None,
         shift_closed=closed_under(
-            listing, lambda w: ring64.word_shift(w, n), basis
+            words, lambda w: ring64.word_shift(w, n), basis
         ),
         shift_bits=6,
     )

@@ -9,7 +9,10 @@ row-echelon span walks.  dp_edit_distance is the plain per-cell edit
 distance DP, the reference for the library's bit-parallel unit-cost kernel
 and its hoisted weighted DP.  reference_gray_report_r64/_skew are the Gray
 image reports by an Echelon over every word plus a per-word closure loop,
-the reference for the library's basis certificates.  src_env is the one
+the reference for the library's basis certificates.
+subcode_u2_by_spanning builds the u^2 subcode's echelon from every shift
+and u-multiple of its generators, the reference for the library's
+echelon read straight off the level-major rows.  src_env is the one
 non-oracle helper: the environment for running the package from this
 checkout in a subprocess.
 """
@@ -201,6 +204,21 @@ def closure_skew_words(generators, n):
         lambda w: skew.skew_shift(w, n),
         [lambda w: skew.word_scale_v(w, n)],
     )
+
+
+def subcode_u2_by_spanning(code):
+    """cyclic.subcode_u2 with the echelon built the long way: the
+    level-major rows below 2^(4n) taken as generators, each expanded into
+    its shifts and u-multiples before the reduction."""
+    from dnacodes import cyclic
+
+    n = code.n
+    gens = [
+        cyclic.levelmajor_to_word(row, n)
+        for row in code.levelmajor_echelon.basis()
+        if row < 1 << (4 * n)
+    ]
+    return cyclic.CyclicCodeR(n, gens)
 
 
 def gray_report_inputs(code, bits):

@@ -435,6 +435,10 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
     nucleotide_costs.write_text("A,G,0.5\n")
     codon_costs = tmp_path / "codon.csv"
     codon_costs.write_text("from,to,cost\nA,-,1.5\nGGG,CCC,0.5\n")
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes(b"ring = r64\nn = 7\ngen = u^4*(x+1)  # \xe9\n")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
     cases = [
         (("build-verify", "--config", str(bad_number)),
          "config line 2: bad value for n: 'seven'"),
@@ -530,6 +534,15 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
            "'/nonexistent.csv'")
           for gen, metric in (("u^4*(x+1)*(x^3+x+1)", "hamming"),
                               ("u^4*(x+1)", "all"))),  # scan over the cap
+        # a config must be UTF-8, and --out must be writable where it points
+        (("build-verify", "--config", str(not_utf8)),
+         "cannot read config: 'utf-8' codec can't decode byte 0xe9 in "
+         "position 36: invalid continuation byte"),
+        (("export", "--ring", "r64", "-n", "3", "--gen", "u^5*(x+1)",
+          "--format", "fasta", "--out", str(tmp_path)),
+         f"cannot write output: [Errno 21] Is a directory: '{tmp_path}'"),
+        (("table", "-w", "3", "--out", str(a_file)),
+         f"cannot write output: [Errno 17] File exists: '{a_file}'"),
     ]
     for argv, message in cases:
         code, _, err = run(capsys, *argv)

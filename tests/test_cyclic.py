@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+from array import array
 
 import pytest
 
@@ -26,6 +27,7 @@ from helpers import (
     gray_report_inputs,
     reference_gray_report_r64,
     src_env,
+    subcode_u2_by_spanning,
 )
 
 
@@ -71,7 +73,24 @@ def test_echelon_rows_reduced_and_span_ascending(lane):
             assert all(row >> lead & 1 == (i == j) for j, lead in enumerate(leads))
         span = ech.span()
         assert all(a < b for a, b in zip(span, span[1:]))
-        assert span == sorted(bfs_closure(vecs, lambda w: w, []))
+        assert list(span) == sorted(bfs_closure(vecs, lambda w: w, []))
+
+
+@pytest.mark.parametrize("bits", [2, 42, 63, 64, 65, 120])
+def test_span_packed_matches_list_doubling(bits):
+    # the span is built by whole-array XOR while every word fits in 64
+    # bits, and by the plain per-word list doubling past that
+    rng = random.Random(bits)
+    for _ in range(30):
+        ech = Echelon(rng.getrandbits(bits) for _ in range(rng.randrange(9)))
+        want = [0]
+        for row in sorted(ech.basis()):  # ascending lead
+            want += [w ^ row for w in want]
+        span = ech.span()
+        assert list(span) == want
+        packed = isinstance(span, array)
+        assert packed == (max(want) < 1 << 64)
+        assert not packed or span.typecode == "Q"
 
 
 def test_words_come_out_ascending():
@@ -80,7 +99,7 @@ def test_words_come_out_ascending():
             code = CyclicCodeR.from_tower(n, tower)
             if code.dim <= 12:
                 words = code.words()
-                assert words == tuple(sorted(set(words)))
+                assert list(words) == sorted(set(words))
 
 
 def test_echelon_span_guard():
@@ -257,6 +276,19 @@ def test_subcode_u2_is_a_subcode():
             assert w & mask == 0  # every coordinate in <u^2>
 
 
+def test_subcode_u2_basis_matches_the_spanning_construction():
+    # the level-major rows below 2^(4n) already span C ∩ u^2 R^n, so
+    # their echelon equals the one over all their shifts and u-multiples
+    checked = 0
+    for n in (3, 5, 7):
+        for polys in iter_admissible_towers(n):
+            code = CyclicCodeR.from_tower(n, polys)
+            sub = cyclic.subcode_u2(code)
+            assert sub.basis() == subcode_u2_by_spanning(code).basis(), code
+            checked += 1
+    assert checked == 441
+
+
 def test_codon_alphabet_of_ideal_sizes():
     for i, expect in ((2, 16), (3, 8), (4, 4)):
         alphabet = cyclic.codon_alphabet_of_ideal(i)
@@ -359,6 +391,9 @@ def test_gray_report_matches_reference_on_codes_and_non_codes():
         table3_code(),
     ]
     for code in codes:
+        # so the sorted, reversed and cut inputs are packed arrays, and
+        # the shuffled and swapped ones lists
+        assert isinstance(code.words(), array)
         for label, inputs in gray_report_inputs(code, 6 * code.n):
             got = cyclic.gray_image_report(inputs, code.n)
             assert got == reference_gray_report_r64(inputs, code.n), (
@@ -461,30 +496,38 @@ def test_socle_min_hamming_matches_the_word_scan():
                 _socle_matches_scan(code)
 
 
+def _linear_basis_both(words):
+    """linear_basis of the words as a list, which must be its answer on
+    the same words packed in an array('Q') too."""
+    got = cyclic.linear_basis(list(words))
+    assert cyclic.linear_basis(array("Q", words)) == got, words
+    return got
+
+
 def test_linear_basis_in_order_certificate():
     rng = random.Random(12)
     for dim in (0, 1, 2, 3, 5, 8, 11):
         for lane in (2, 6):
             vectors = [rng.getrandbits(lane * 5) for _ in range(dim)]
             ech = Echelon(vectors)
-            words = ech.span()
+            words = list(ech.span())
             # ascending: the basis is the span's reduced echelon basis
-            assert cyclic.linear_basis(words) == ech.basis()
+            assert _linear_basis_both(words) == ech.basis()
             if len(words) < 4:
                 continue
             # the same words out of order: not certified
             shuffled = words[:]
             rng.shuffle(shuffled)
-            assert shuffled == words or cyclic.linear_basis(shuffled) is None
+            assert shuffled == words or _linear_basis_both(shuffled) is None
             swapped = [words[0], words[2], words[1], *words[3:]]
-            assert cyclic.linear_basis(swapped) is None
+            assert _linear_basis_both(swapped) is None
             # one word replaced by a non-member: not linear
             word_set = set(words)
             outside = next(w for w in range(1 << (lane * 5 + 1))
                            if w not in word_set)
             for i in {1, 2, len(words) // 2 + 1, len(words) - 1}:
                 listing = sorted(words[:i] + [outside] + words[i + 1 :])
-                assert cyclic.linear_basis(listing) is None, (dim, lane, i)
+                assert _linear_basis_both(listing) is None, (dim, lane, i)
 
 
 def test_rc_witness_is_the_least_violating_word():

@@ -310,7 +310,7 @@ def test_words_come_out_ascending():
         codes += [SkewCode.from_case1(n, g) for g in skew.monic_right_divisors(n)]
     for code in codes:
         words = code.words(2**14)
-        assert words == tuple(sorted(set(words)))
+        assert list(words) == sorted(set(words))
 
 
 def test_monic_right_divisor_counts_frozen():
