@@ -51,6 +51,29 @@ ROOT = Path(__file__).resolve().parent.parent
         ("r64_n7_2e16_hamming", 0,
          ["build-verify", "--ring", "r64", "-n", "7",
           "--gen", "u^2*(x^3+x+1)", "--metric", "hamming"]),
+        ("f2v_n4_case2_all", 0,
+         ["build-verify", "--ring", "f2v", "-n", "4",
+          "--gen", "v*x+v", "--gen", "x+1", "--metric", "all"]),
+        ("f2v_n8_case3_all", 0,
+         ["build-verify", "--ring", "f2v", "-n", "8",
+          "--gen", "(v+1)*x^4+(v+1)", "--metric", "all"]),
+        ("f2v_n8_over_guard", 0,
+         ["build-verify", "--ring", "f2v", "-n", "8", "--gen", "x+1",
+          "--guard", "1000"]),
+        ("f2v_n8_readme_edit_skipped", 1,
+         ["build-verify", "--ring", "f2v", "-n", "8", "--gen", "x^2+v*x+1"]),
+        ("r64_n7_lee", 0,
+         ["build-verify", "--ring", "r64", "-n", "7",
+          "--gen", "u^3*(x^3+x+1)", "--metric", "lee"]),
+        ("r64_n7_edit_not_self_reciprocal", 0,
+         ["build-verify", "--ring", "r64", "-n", "7",
+          "--gen", "u^4*(x^3+x+1)", "--metric", "edit"]),
+        ("export_fasta_r64", 0,
+         ["export", "--ring", "r64", "-n", "7", "--gen", "u^5*(x+1)",
+          "--format", "fasta"]),
+        ("export_fasta_f2v", 0,
+         ["export", "--ring", "f2v", "-n", "4", "--gen", "x^2+1",
+          "--format", "fasta"]),
     ],
 )
 def test_report_text_is_pinned(capsys, name, exit_code, argv):
