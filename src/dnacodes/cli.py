@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from . import codons, cyclic, metrics, reference_tables, ring64, skew
+from . import codons, cyclic, metrics, reference_tables, skew
 from .gf2poly import Gf2Poly, GuardExceeded, factor_xn_minus_1, split_top_level
 
 # above this many words build-verify skips its edit scans unless --metric edit
@@ -198,34 +198,27 @@ def parse_tower(text: str) -> tuple[Gf2Poly, ...]:
         raise UsageError(f"bad tower polynomial: {e}") from None
 
 
-def build_r64_code(cfg: JobConfig) -> cyclic.CyclicCodeR:
+def build_code(cfg: JobConfig) -> cyclic.LinearCode:
     if cfg.n is None:
         raise UsageError("length -n is required")
-    if cfg.tower and cfg.gens:
-        raise UsageError("give either --tower or --gen, not both")
     try:
+        if cfg.ring == "f2v":
+            if not cfg.gens:
+                raise UsageError("f2v codes need at least one --gen")
+            try:
+                polys = [skew.parse_skew_poly(g) for g in cfg.gens]
+            except ValueError as e:
+                raise UsageError(f"bad skew polynomial: {e}") from None
+            return skew.SkewCode(cfg.n, polys)
+        if cfg.tower and cfg.gens:
+            raise UsageError("give either --tower or --gen, not both")
         if cfg.tower:
             return cyclic.CyclicCodeR.from_tower(cfg.n, parse_tower(cfg.tower))
         if len(cfg.gens) != 1:
             raise UsageError("r64 codes take exactly one --gen (or a --tower)")
         level, f = parse_r64_generator(cfg.gens[0])
         return cyclic.single_generator_code(cfg.n, level, f)
-    except cyclic.TowerError as e:
-        raise UsageError(str(e)) from None
-
-
-def build_skew_code(cfg: JobConfig) -> skew.SkewCode:
-    if cfg.n is None:
-        raise UsageError("length -n is required")
-    if not cfg.gens:
-        raise UsageError("f2v codes need at least one --gen")
-    try:
-        polys = [skew.parse_skew_poly(g) for g in cfg.gens]
-    except ValueError as e:
-        raise UsageError(f"bad skew polynomial: {e}") from None
-    try:
-        return skew.SkewCode(cfg.n, polys)
-    except skew.SkewCodeError as e:
+    except (cyclic.TowerError, skew.SkewCodeError) as e:
         raise UsageError(str(e)) from None
 
 
@@ -288,141 +281,77 @@ def cmd_factor(cfg: JobConfig) -> int:
     return 0
 
 
-def _enumerate(
-    cfg: JobConfig,
-    report: Report,
-    code: cyclic.LinearCode,
-    alg_closed: bool,
-    word_str: Callable[[int, int], str],
-) -> tuple[Sequence[int], tuple[bool, int | None]] | None:
-    """Enumerate the code unless it is over the guard, and check the
-    enumerated rc-closure against the algebraic one; word_str renders a
-    witness.  Returns the ascending words and their
-    rc_closed_extensional result."""
+def _verify(cfg: JobConfig, report: Report) -> None:
+    """Build the code and write its ring's lines; enumerate it unless it
+    is over the guard, check the enumerated rc-closure against the
+    algebraic one, and run the Gray checks and the distance scans that
+    --metric asks for.  Lee weights and the edit bounds are r64 only;
+    f2v edit scans are nucleotide-level."""
+    r64 = cfg.ring == "r64"
+    level = cfg.level or "nucleotide"
+    costs = load_costs(cfg, level)
+    code = build_code(cfg)
+    n = code.n
+    rc = cyclic.rc_report(code)
+    report.emit("ring", cfg.ring)
+    report.emit("n", n)
+    code.report_lines(report, rc)
+
     enumerable = code.size() <= cfg.guard
     report.emit("enumerated", enumerable)
     if not enumerable:
         report.emit("enumeration", f"skipped, size {code.size()} over guard")
-        return None
+        return
     words = code.words(cfg.guard)
     report.check("enumerated_size", len(words) == code.size())
     rc_closure = cyclic.rc_closed_extensional(code, words)
     ext_closed, witness = rc_closure
     report.check(
         "rc_extensional_matches_algebraic",
-        ext_closed == alg_closed,
-        f"extensional {ext_closed} vs algebraic {alg_closed}",
+        ext_closed == rc.rc_closed,
+        f"extensional {ext_closed} vs algebraic {rc.rc_closed}",
     )
     if not ext_closed and witness is not None:
-        n = code.n
+        word_str = code.witness_str
         missing = code.ring.word_reverse_complement(witness, n)
         report.emit(
             "rc_witness",
             f"{word_str(witness, n)} whose reverse-complement "
             f"{word_str(missing, n)} is not in the code",
         )
-    return words, rc_closure
-
-
-def _min_edit(
-    cfg: JobConfig,
-    report: Report,
-    words: Sequence[int],
-    n: int,
-    level: str,
-    to_symbols: Callable[[int, int], Sequence],
-    costs: metrics.EditCostTable | None,
-    uses: Sequence[str],
-) -> metrics.MinResult | None:
-    """The run's one all-pairs edit scan over the words' symbols at the
-    level, for the report keys in uses.  Above EDIT_SCAN_MAX_WORDS words
-    it is skipped unless --metric edit forces it: each key gets a skip
-    line and the result is None."""
-    if cfg.metric != "edit" and len(words) > EDIT_SCAN_MAX_WORDS:
-        skip = f"skipped for {len(words)} words; pass --metric edit to force"
-        for key in uses:
-            report.emit(key, skip)
-        return None
-    scan = metrics.min_edit_pairwise([to_symbols(w, n) for w in words], costs)
-    if "min_edit" in uses:
-        report.emit(f"min_edit_{level}", scan.minimum)
-    return scan
-
-
-def _verify_r64(cfg: JobConfig, report: Report) -> None:
-    costs = load_costs(cfg, cfg.level)
-    code = build_r64_code(cfg)
-    n = code.n
-    report.emit("ring", "r64")
-    report.emit("n", n)
-    report.emit("tower", cyclic.tower_str(code.tower))
-    profile = code.torsion_profile
-    report.emit("log2_size", code.dim)
-    report.emit("size", code.size())
-    report.emit("rank", profile.rank)
-    for lv in profile.levels:
-        report.emit(f"torsion.{lv.level}", f"gen={lv.generator} dim={lv.dim}")
-    if n % 2 == 1:
-        report.check(
-            "size_formula",
-            code.size_formula_odd() == code.size(),
-            f"formula {code.size_formula_odd()} vs enumerated {code.size()}",
-        )
-
-    rc = cyclic.rc_report(code)
-    report.emit("rc_closed", rc.rc_closed)
-    report.emit("alpha_identity_member", rc.complement_word_member)
-    report.emit("rc_sufficiency", rc.sufficiency_satisfied)
-    if not rc.generators_self_reciprocal:
-        report.emit("not_self_reciprocal", "; ".join(
-            f"f{i}={f}" for i, f in enumerate(code.tower)
-            if not f.is_self_reciprocal()
-        ))
-    report.check("sufficiency_implies_closure", rc.sufficiency_implies_closure)
-    report.check("closure_implies_necessity", rc.closure_implies_necessity)
-
-    sub = cyclic.subcode_u2_report(code)
-    report.emit("subcode_u2.log2_size", sub.subcode_log2_size)
-    report.emit("subcode_u2.single_generator_claim_log2", sub.claim_log2_size)
-    report.emit("subcode_u2.claim_equal", sub.equal)
-    report.emit("subcode_u2.claim_inside_code", sub.claim_inside_code)
-
-    enumerated = _enumerate(cfg, report, code, rc.rc_closed, ring64.word_str)
-    if enumerated is None:
-        return
-    words, rc_closure = enumerated
-    gray = cyclic.gray_image_report(words, n)
+    gray = cyclic.gray_image_report(
+        code.gray_image(words), code.ring.LANE * n, code.gray_maps()
+    )
     report.check("gray_linear", gray.linear)
-    report.check("gray_shift6_closed", gray.shift_closed)
+    for name, closed in gray.closed.items():
+        line = report.emit if name in code.gray_informational else report.check
+        line(f"gray_{name}_closed", closed)
 
     if len(words) < 2:
         if cfg.dna_d is not None:
             raise UsageError("--dna-d needs a code of at least two words")
         return
     if cfg.metric in ("hamming", "all"):
-        d, witness = code.socle_min_hamming(cfg.guard)
-        if (not cyclic.has_word(words, witness)
-                or ring64.word_hamming_weight(witness, n) != d):
-            raise RuntimeError(f"socle minimum {d} has no enumerated witness")
-        report.emit("min_hamming", d)
-    if cfg.metric in ("lee", "all"):
+        report.emit("min_hamming", code.min_hamming(words, cfg.guard))
+    if r64 and cfg.metric in ("lee", "all"):
         report.emit("min_lee", metrics.min_nonzero_lee_weight(words, n))
     edit = cfg.metric in ("edit", "all")
-    uses = (["min_edit", "edit_bounds"] if edit else []) + (
-        ["dna_code"] if cfg.dna_d is not None else []
-    )
+    bounds = edit and r64
+    # the report keys that the one all-pairs edit scan feeds
+    uses = [key for key, used in (("min_edit", edit), ("edit_bounds", bounds),
+                                  ("dna_code", cfg.dna_d is not None)) if used]
     if not uses:
         return
-    if cfg.level == "nucleotide":
-        to_symbols = codons.canonical_table().encode_word
-    else:
-        to_symbols = cyclic.codon_symbols
-    scan = _min_edit(
-        cfg, report, words, n, cfg.level, to_symbols, costs, uses
-    )
-    if scan is None:
+    if cfg.metric != "edit" and len(words) > EDIT_SCAN_MAX_WORDS:
+        skip = f"skipped for {len(words)} words; pass --metric edit to force"
+        for key in uses:
+            report.emit(key, skip)
         return
+    to_symbols = code.to_dna if level == "nucleotide" else cyclic.codon_symbols
+    scan = metrics.min_edit_pairwise([to_symbols(w, n) for w in words], costs)
     if edit:
+        report.emit(f"min_edit_{level}", scan.minimum)
+    if bounds:
         bound = cyclic.edit_bound_check(code, words)
         report.check(
             "edit_bounds",
@@ -439,65 +368,10 @@ def _verify_r64(cfg: JobConfig, report: Report) -> None:
         report.emit("dna_max_edit", cls.max_edit)
 
 
-def _verify_f2v(cfg: JobConfig, report: Report) -> None:
-    if cfg.metric == "lee":
-        raise UsageError("--metric lee is for --ring r64, not f2v")
-    costs = load_costs(cfg, "nucleotide")
-    code = build_skew_code(cfg)
-    n = code.n
-    report.emit("ring", "f2v")
-    report.emit("n", n)
-    report.emit("case", code.case)
-    for g in code.generators:
-        report.emit("generator", skew.poly_str(g))
-    report.emit("log2_size", code.dim)
-    report.emit("size", code.size())
-
-    rc = cyclic.rc_report(code)
-    report.emit("rc_closed", rc.rc_closed)
-    report.emit("v_identity_member", rc.complement_word_member)
-    report.emit("generators_self_reciprocal", rc.generators_self_reciprocal)
-    report.emit("rc_sufficiency", rc.sufficiency_satisfied)
-    report.check("sufficiency_implies_closure", rc.sufficiency_implies_closure)
-    report.check("closure_implies_necessity", rc.closure_implies_necessity)
-    for g in code.generators:
-        if g and g[-1] == skew.ONE:
-            report.check(
-                "two_sided_factorization",
-                skew.two_sided_factorization_holds(n, g),
-                skew.poly_str(g),
-            )
-
-    enumerated = _enumerate(cfg, report, code, rc.rc_closed, skew.word_to_dna)
-    if enumerated is None:
-        return
-    words = enumerated[0]
-    gray = skew.gray_image_report(words, n)
-    report.check("gray_linear", gray.linear)
-    report.check("gray_skew_shift2_closed", gray.skew_shift2_closed)
-    report.check("gray_plain_shift4_closed", gray.plain_shift4_closed)
-    report.emit("gray_plain_shift2_closed", gray.plain_shift2_closed)
-
-    if len(words) >= 2:
-        if cfg.metric in ("hamming", "all"):
-            report.emit(
-                "min_hamming",
-                min(
-                    skew.word_hamming_weight(w, n) for w in words if w
-                ),
-            )
-        if cfg.metric in ("edit", "all"):
-            _min_edit(cfg, report, words, n, "nucleotide", skew.word_to_dna,
-                      costs, ["min_edit"])
-
-
 def cmd_build_verify(cfg: JobConfig) -> int:
     report = Report()
     report.emit("command", "build-verify")
-    if cfg.ring == "r64":
-        _verify_r64(cfg, report)
-    else:
-        _verify_f2v(cfg, report)
+    _verify(cfg, report)
     return report.finish()
 
 
@@ -524,12 +398,7 @@ def cmd_table(cfg: JobConfig) -> int:
 def cmd_export(cfg: JobConfig) -> int:
     if cfg.fmt is None:
         raise UsageError("export needs --format fasta or csv")
-    if cfg.ring == "r64":
-        code = build_r64_code(cfg)
-        to_dna, to_row = codons.canonical_table().encode_word, ring64.word_str
-    else:
-        code = build_skew_code(cfg)
-        to_dna, to_row = skew.word_to_dna, skew.word_str
+    code = build_code(cfg)
     if code.size() > cfg.guard:
         print(
             f"size: {code.size()}\nerror: over the guard {cfg.guard}",
@@ -538,10 +407,10 @@ def cmd_export(cfg: JobConfig) -> int:
         return 2
     words = code.words(cfg.guard)
     n = code.n
-    if cfg.fmt == "fasta":
-        payload = codons.fasta([to_dna(w, n) for w in words])
-    else:
-        payload = "\n".join(to_row(w, n) for w in words) + "\n"
+    to_text = code.to_dna if cfg.fmt == "fasta" else code.ring.word_str
+    texts = [to_text(w, n) for w in words]
+    payload = (codons.fasta(texts) if cfg.fmt == "fasta"
+               else "\n".join(texts) + "\n")
     if cfg.out:
         with _writing_out():
             Path(cfg.out).write_text(payload)
@@ -610,6 +479,8 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
                          f"got {cfg.dna_d}")
     if cfg.guard is not None and cfg.guard < 1:
         raise UsageError(f"{place('guard')} must be >= 1, got {cfg.guard}")
+    if cfg.metric == "lee" and ring != "r64":
+        raise UsageError(f"{place('metric')} lee is for --ring r64, not {ring}")
     return cfg
 
 

@@ -199,11 +199,18 @@ class LinearCode:
     + a constant complement word, so a linear code is rc-closed iff it
     contains that word and is closed under coordinate reversal.
     Subclasses set ``ring`` to the module of their packed-word
-    operations (word_reverse, word_reverse_complement) and define
-    spanning_words, complement_word and generators_self_reciprocal.
+    operations (LANE, word_reverse, word_reverse_complement,
+    word_hamming_weight, word_str) and define spanning_words,
+    complement_word and generators_self_reciprocal.
+
+    For build-verify each subclass also supplies its ring's facts:
+    report_lines, gray_image and gray_maps (maps named in
+    gray_informational are reported, not checked), and to_dna and
+    witness_str, (word, n) -> text functions.
     """
 
     n: int
+    gray_informational: tuple[str, ...] = ()
 
     def spanning_words(self) -> list[int]:
         raise NotImplementedError
@@ -255,6 +262,12 @@ class LinearCode:
     def rc_closed(self) -> bool:
         """Reverse-complement closure, decided without enumeration."""
         return self.contains_complement_word() and self.reversal_closed()
+
+    def min_hamming(self, words: Sequence[int], guard: int) -> int:
+        """The least Hamming weight of a nonzero word, by a scan of the
+        code's enumerated words."""
+        n = self.n
+        return min(self.ring.word_hamming_weight(w, n) for w in words if w)
 
 
 @dataclass(frozen=True)
@@ -419,6 +432,58 @@ class CyclicCodeR(LinearCode):
             raise ValueError("sufficiency test needs a tower description")
         return all(f.is_self_reciprocal() for f in self.tower)
 
+    # -- build-verify facts -------------------------------------------------
+
+    def report_lines(self, report, rc: RcReport) -> None:
+        """Write the report's lines from the tower to the u^2 subcode with
+        report.emit and report.check; rc is rc_report(self)."""
+        profile = self.torsion_profile
+        report.emit("tower", tower_str(self.tower))
+        report.emit("log2_size", self.dim)
+        report.emit("size", self.size())
+        report.emit("rank", profile.rank)
+        for lv in profile.levels:
+            report.emit(f"torsion.{lv.level}", f"gen={lv.generator} dim={lv.dim}")
+        if self.n % 2 == 1:
+            report.check(
+                "size_formula",
+                self.size_formula_odd() == self.size(),
+                f"formula {self.size_formula_odd()} vs enumerated {self.size()}",
+            )
+        report.emit("rc_closed", rc.rc_closed)
+        report.emit("alpha_identity_member", rc.complement_word_member)
+        report.emit("rc_sufficiency", rc.sufficiency_satisfied)
+        if not rc.generators_self_reciprocal:
+            report.emit("not_self_reciprocal", "; ".join(
+                f"f{i}={f}" for i, f in enumerate(self.tower)
+                if not f.is_self_reciprocal()
+            ))
+        report.check("sufficiency_implies_closure", rc.sufficiency_implies_closure)
+        report.check("closure_implies_necessity", rc.closure_implies_necessity)
+        sub = subcode_u2_report(self)
+        report.emit("subcode_u2.log2_size", sub.subcode_log2_size)
+        report.emit("subcode_u2.single_generator_claim_log2", sub.claim_log2_size)
+        report.emit("subcode_u2.claim_equal", sub.equal)
+        report.emit("subcode_u2.claim_inside_code", sub.claim_inside_code)
+
+    def gray_image(self, words: Sequence[int]) -> Sequence[int]:
+        """The binary Gray image of a packed word is the word itself read
+        as 6n bits, so the image is the words, uncopied."""
+        return words
+
+    def gray_maps(self) -> dict[str, Callable[[int], int]]:
+        """The image of a cyclic code is closed under rotation by 6 bits."""
+        n = self.n
+        return {"shift6": lambda w: ring64.word_shift(w, n)}
+
+    @property
+    def to_dna(self) -> Callable[[int, int], str]:
+        return codons.canonical_table().encode_word
+
+    @property
+    def witness_str(self) -> Callable[[int, int], str]:
+        return ring64.word_str
+
     # -- torsion ------------------------------------------------------------
 
     @cached_property
@@ -479,6 +544,15 @@ class CyclicCodeR(LinearCode):
         rows = [r for r in self.levelmajor_echelon.basis() if r < 1 << n]
         v = min(filter(None, Echelon(rows).span(guard)), key=int.bit_count)
         return v.bit_count(), levelmajor_to_word(v, n)
+
+    def min_hamming(self, words: Sequence[int], guard: int) -> int:
+        """socle_min_hamming, with its witness checked among the code's
+        enumerated words."""
+        d, witness = self.socle_min_hamming(guard)
+        if (not has_word(words, witness)
+                or ring64.word_hamming_weight(witness, self.n) != d):
+            raise RuntimeError(f"socle minimum {d} has no enumerated witness")
+        return d
 
     def size_formula_odd(self) -> int:
         """prod 2^(n - deg fi) for an odd-length tower."""
@@ -644,30 +718,31 @@ def classify_dna_code(
 
 @dataclass(frozen=True)
 class GrayImageReport:
-    """Linearity and shift-closure facts about a binary image set."""
+    """Linearity of a binary image set, and whether each named map keeps
+    it closed."""
 
     bit_length: int
     linear: bool
-    shift_closed: bool
-    shift_bits: int
+    closed: dict[str, bool]
 
 
-def gray_image_report(words: Iterable[int], n: int) -> GrayImageReport:
-    """The binary Gray image of a packed word is the word itself read as
-    6n bits, so the image of a cyclic code must be XOR-closed and closed
-    under rotation by 6 bits.  words are distinct, in any order; a
-    sequence already in LinearCode.words order is checked uncopied."""
-    basis = linear_basis(words) if isinstance(words, Sequence) else None
+def gray_image_report(
+    image: Iterable[int],
+    bit_length: int,
+    maps: dict[str, Callable[[int], int]],
+) -> GrayImageReport:
+    """Whether the image words (distinct, bit_length bits each) form an
+    F2-subspace, and whether each of the F2-linear maps sends them into
+    themselves.  The words may come in any order; a sequence already in
+    LinearCode.words order is checked uncopied."""
+    basis = linear_basis(image) if isinstance(image, Sequence) else None
     if basis is None:
-        words = sorted(words)
-        basis = linear_basis(words)
+        image = sorted(image)
+        basis = linear_basis(image)
     return GrayImageReport(
-        bit_length=6 * n,
+        bit_length=bit_length,
         linear=basis is not None,
-        shift_closed=closed_under(
-            words, lambda w: ring64.word_shift(w, n), basis
-        ),
-        shift_bits=6,
+        closed={name: closed_under(image, f, basis) for name, f in maps.items()},
     )
 
 
@@ -719,37 +794,45 @@ def edit_bound_check(
 
 
 @dataclass
-class RcTally:
+class CampaignResult:
     """What an rc theorem campaign found, summed over its codes."""
 
+    codes_checked: int = 0
     codes_enumerated: int = 0
     skipped_over_guard: int = 0
     violations: list[str] = field(default_factory=list)
 
-    def check_code(self, code: LinearCode, label: str, guard: int) -> None:
-        """One theorem instance: both implications of rc_report, and
-        the closure decided algebraically must agree with the enumerated
-        check.  Codes above the guard still get the implications."""
+    @property
+    def towers_checked(self) -> int:
+        """codes_checked, named for a campaign over r64 towers."""
+        return self.codes_checked
+
+
+def check_rc_theorem(
+    labelled_codes: Iterable[tuple[str, LinearCode]], guard: int
+) -> CampaignResult:
+    """One theorem instance per (label, code): both implications of
+    rc_report, and the closure decided algebraically must agree with the
+    enumerated check.  Codes above the guard still get the implications."""
+    result = CampaignResult()
+    for label, code in labelled_codes:
+        result.codes_checked += 1
         rc = rc_report(code)
         if not rc.sufficiency_implies_closure:
-            self.violations.append(f"{label}: sufficiency but not closed")
+            result.violations.append(f"{label}: sufficiency but not closed")
         if not rc.closure_implies_necessity:
-            self.violations.append(f"{label}: closed but necessity fails")
+            result.violations.append(f"{label}: closed but necessity fails")
         if code.size() > guard:
-            self.skipped_over_guard += 1
-            return
-        self.codes_enumerated += 1
+            result.skipped_over_guard += 1
+            continue
+        result.codes_enumerated += 1
         ext_closed, witness = rc_closed_extensional(code, code.words(guard))
         if ext_closed != rc.rc_closed:
-            self.violations.append(
+            result.violations.append(
                 f"{label}: algebraic closure {rc.rc_closed} but "
                 f"enumeration says {ext_closed} (witness {witness})"
             )
-
-
-@dataclass
-class CampaignResult(RcTally):
-    towers_checked: int = 0
+    return result
 
 
 def rc_theorem_campaign(
@@ -757,13 +840,11 @@ def rc_theorem_campaign(
     guard: int = 2**16,
 ) -> CampaignResult:
     """Exhaustive consistency drive over every admissible odd tower."""
-    result = CampaignResult()
-    for n in lengths:
-        for polys in iter_admissible_towers(n):
-            result.towers_checked += 1
-            code = CyclicCodeR.from_tower(n, polys)
-            result.check_code(code, f"n={n}, {tower_str(polys)}", guard)
-    return result
+    return check_rc_theorem((
+        (f"n={n}, {tower_str(polys)}", CyclicCodeR.from_tower(n, polys))
+        for n in lengths
+        for polys in iter_admissible_towers(n)
+    ), guard)
 
 
 __all__ = [
@@ -798,7 +879,7 @@ __all__ = [
     "gray_image_report",
     "EditBoundCheck",
     "edit_bound_check",
-    "RcTally",
     "CampaignResult",
+    "check_rc_theorem",
     "rc_theorem_campaign",
 ]

@@ -14,15 +14,10 @@ import itertools
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import codons
-from .cyclic import (
-    LinearCode,
-    RcTally,
-    closed_under,
-    linear_basis,
-)
+from .cyclic import CampaignResult, LinearCode, RcReport, check_rc_theorem
 from .gf2poly import Gf2Poly, divisors_of_xn_minus_1, split_top_level
 
 # -- scalars -------------------------------------------------------------
@@ -332,37 +327,6 @@ def plain_shift(y: int, n: int, lanes: int = 1) -> int:
     return ((y << k) | (y >> (LANE * n - k))) & mask
 
 
-@dataclass(frozen=True)
-class SkewGrayReport:
-    """Closure facts about the binary image of a skew code."""
-
-    bit_length: int
-    linear: bool
-    skew_shift2_closed: bool
-    plain_shift2_closed: bool
-    plain_shift4_closed: bool
-
-
-def gray_image_report(words: Iterable[int], n: int) -> SkewGrayReport:
-    """Linearity and shift closure of the words' binary images, which
-    are listed ascending for the checks; words are distinct."""
-    image = sorted(gray_image(w, n) for w in words)
-    basis = linear_basis(image)
-    return SkewGrayReport(
-        bit_length=2 * n,
-        linear=basis is not None,
-        skew_shift2_closed=closed_under(
-            image, lambda y: gray_skew_shift(y, n), basis
-        ),
-        plain_shift2_closed=closed_under(
-            image, lambda y: plain_shift(y, n), basis
-        ),
-        plain_shift4_closed=closed_under(
-            image, lambda y: plain_shift(y, n, 2), basis
-        ),
-    )
-
-
 # -- codes -------------------------------------------------------------------
 
 
@@ -397,6 +361,8 @@ class SkewCode(LinearCode):
     """
 
     ring = sys.modules[__name__]  # the word operations of this module
+    to_dna = witness_str = staticmethod(word_to_dna)
+    gray_informational = ("plain_shift2",)
 
     def __init__(self, n: int, generators: Sequence[Sequence[int]]):
         if n < 2 or n % 2 == 1:
@@ -477,6 +443,46 @@ class SkewCode(LinearCode):
     def generators_self_reciprocal(self) -> bool:
         return all(is_self_reciprocal(g) for g in self.generators)
 
+    # -- build-verify facts -------------------------------------------------
+
+    def report_lines(self, report, rc: RcReport) -> None:
+        """Write the report's lines from the case to the two-sided
+        factorization checks with report.emit and report.check; rc is
+        rc_report(self)."""
+        report.emit("case", self.case)
+        for g in self.generators:
+            report.emit("generator", poly_str(g))
+        report.emit("log2_size", self.dim)
+        report.emit("size", self.size())
+        report.emit("rc_closed", rc.rc_closed)
+        report.emit("v_identity_member", rc.complement_word_member)
+        report.emit("generators_self_reciprocal", rc.generators_self_reciprocal)
+        report.emit("rc_sufficiency", rc.sufficiency_satisfied)
+        report.check("sufficiency_implies_closure", rc.sufficiency_implies_closure)
+        report.check("closure_implies_necessity", rc.closure_implies_necessity)
+        for g in self.generators:
+            if g[-1] == ONE:
+                report.check(
+                    "two_sided_factorization",
+                    two_sided_factorization_holds(self.n, g),
+                    poly_str(g),
+                )
+
+    def gray_image(self, words: Iterable[int]) -> list[int]:
+        """The words' binary Gray images, ascending."""
+        n = self.n
+        return sorted(gray_image(w, n) for w in words)
+
+    def gray_maps(self) -> dict[str, Callable[[int], int]]:
+        """The twisted block shift and plain rotation by 4 bits keep the
+        image of a skew code closed; plain rotation by 2 bits need not."""
+        n = self.n
+        return {
+            "skew_shift2": lambda y: gray_skew_shift(y, n),
+            "plain_shift4": lambda y: plain_shift(y, n, 2),
+            "plain_shift2": lambda y: plain_shift(y, n),
+        }
+
 
 # -- right-divisor search ----------------------------------------------------
 
@@ -532,24 +538,17 @@ def all_codes(n: int) -> list[SkewCode]:
     return codes
 
 
-@dataclass
-class SkewCampaignResult(RcTally):
-    codes_checked: int = 0
-
-
 def rc_campaign(
     lengths: Sequence[int] = (2, 4, 6, 8, 10),
     guard: int = 2**16,
-) -> SkewCampaignResult:
-    """Check sufficiency => closure => necessity over every case-1 and
-    case-3 code of the given even lengths, with an extensional
-    cross-check whenever the code is small enough to enumerate."""
-    result = SkewCampaignResult()
-    for n in lengths:
-        for code in all_codes(n):
-            result.codes_checked += 1
-            result.check_code(code, f"n={n}, {code.label()}", guard)
-    return result
+) -> CampaignResult:
+    """check_rc_theorem over every case-1 and case-3 code of the given
+    even lengths."""
+    return check_rc_theorem((
+        (f"n={n}, {code.label()}", code)
+        for n in lengths
+        for code in all_codes(n)
+    ), guard)
 
 
 # -- printed-set search --------------------------------------------------------
@@ -629,8 +628,6 @@ __all__ = [
     "gray_image",
     "gray_skew_shift",
     "plain_shift",
-    "SkewGrayReport",
-    "gray_image_report",
     "SkewCodeError",
     "SkewCode",
     "monic_right_divisor_candidates",
@@ -638,7 +635,6 @@ __all__ = [
     "two_sided_factorization_holds",
     "iter_case3_codes",
     "all_codes",
-    "SkewCampaignResult",
     "rc_campaign",
     "SearchResult",
     "search_codes_containing",

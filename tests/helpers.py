@@ -7,9 +7,9 @@ convolution instead of packed-integer shifts, irreducibility by trial
 division, and code enumeration by breadth-first closure instead of
 row-echelon span walks.  dp_edit_distance is the plain per-cell edit
 distance DP, the reference for the library's bit-parallel unit-cost kernel
-and its hoisted weighted DP.  reference_gray_report_r64/_skew are the Gray
-image reports by an Echelon over every word plus a per-word closure loop,
-the reference for the library's basis certificates.
+and its hoisted weighted DP.  reference_gray_report is the Gray image
+report by an Echelon over every word plus a per-word closure loop for
+each named map, the reference for the library's basis certificates.
 subcode_u2_by_spanning builds the u^2 subcode's echelon from every shift
 and u-multiple of its generators, the reference for the library's
 echelon read straight off the level-major rows.  src_env is the one
@@ -100,36 +100,18 @@ def _linear_by_echelon(word_set):
     return len(word_set) == 1 << Echelon(word_set).dim and 0 in word_set
 
 
-def reference_gray_report_r64(words, n):
-    """cyclic.gray_image_report, checking every word."""
-    from dnacodes import cyclic, ring64
+def reference_gray_report(image, bit_length, maps):
+    """cyclic.gray_image_report, checking every image word under each
+    named map."""
+    from dnacodes import cyclic
 
-    word_set = set(words)
+    image = set(image)
     return cyclic.GrayImageReport(
-        bit_length=6 * n,
-        linear=_linear_by_echelon(word_set),
-        shift_closed=all(
-            ring64.word_shift(w, n) in word_set for w in word_set
-        ),
-        shift_bits=6,
-    )
-
-
-def reference_gray_report_skew(words, n):
-    """skew.gray_image_report, checking every word of the image."""
-    from dnacodes import skew
-
-    image = {skew.gray_image(w, n) for w in words}
-    return skew.SkewGrayReport(
-        bit_length=2 * n,
+        bit_length=bit_length,
         linear=_linear_by_echelon(image),
-        skew_shift2_closed=all(
-            skew.gray_skew_shift(y, n) in image for y in image
-        ),
-        plain_shift2_closed=all(skew.plain_shift(y, n) in image for y in image),
-        plain_shift4_closed=all(
-            skew.plain_shift(y, n, 2) in image for y in image
-        ),
+        closed={
+            name: all(f(y) in image for y in image) for name, f in maps.items()
+        },
     )
 
 

@@ -428,10 +428,12 @@ def test_criterion_10_r_side_images():
     for label, _ in rt.PRINTED_HAMMING_FAMILY:
         codes.append(cyclic.single_generator_code(7, 4, factors[label]))
     for code in codes:
-        rep = cyclic.gray_image_report(code.words(2**16), code.n)
+        rep = cyclic.gray_image_report(
+            code.gray_image(code.words(2**16)), 6 * code.n, code.gray_maps()
+        )
         assert rep.linear
-        assert rep.shift_closed
-        assert rep.shift_bits == 6
+        assert rep.closed["shift6"]
+        assert list(rep.closed) == ["shift6"]  # rotation by 6 bits
 
 
 def test_criterion_10_skew_images_twisted():
@@ -445,10 +447,12 @@ def test_criterion_10_skew_images_twisted():
         for code in skew_codes:
             if code.size() > 2**16:
                 continue
-            rep = skew.gray_image_report(code.words(2**16), n)
+            rep = cyclic.gray_image_report(
+                code.gray_image(code.words(2**16)), 2 * n, code.gray_maps()
+            )
             assert rep.linear, code
-            assert rep.skew_shift2_closed, code
-            assert rep.plain_shift4_closed, code
+            assert rep.closed["skew_shift2"], code
+            assert rep.closed["plain_shift4"], code
             checked += 1
     assert checked == 136
 
@@ -466,9 +470,11 @@ def test_criterion_10_plain_shift_by_two(capsys):
         "plain index-4 closure and linearity hold everywhere",
     )
     code = skew.SkewCode.from_case3(2, (skew.V,))
-    rep = skew.gray_image_report(code.words(2**8), 2)
-    assert rep.linear and rep.skew_shift2_closed and rep.plain_shift4_closed
-    assert rep.plain_shift2_closed
+    rep = cyclic.gray_image_report(
+        code.gray_image(code.words(2**8)), 4, code.gray_maps()
+    )
+    assert rep.linear and rep.closed["skew_shift2"] and rep.closed["plain_shift4"]
+    assert rep.closed["plain_shift2"]
 
 
 def test_criterion_10_plain_shift_two_counterexample_frozen():
@@ -480,9 +486,11 @@ def test_criterion_10_plain_shift_two_counterexample_frozen():
         skew.pack_word([0, skew.V1]),
         skew.pack_word([skew.V, skew.V1]),
     }
-    rep = skew.gray_image_report(words, 2)
+    rep = cyclic.gray_image_report(
+        code.gray_image(words), code.ring.LANE * code.n, code.gray_maps()
+    )
     assert rep.bit_length == 4
     assert rep.linear
-    assert rep.skew_shift2_closed
-    assert not rep.plain_shift2_closed
-    assert rep.plain_shift4_closed
+    assert rep.closed["skew_shift2"]
+    assert not rep.closed["plain_shift2"]
+    assert rep.closed["plain_shift4"]

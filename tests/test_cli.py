@@ -462,6 +462,8 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
     not_utf8.write_bytes(b"ring = r64\nn = 7\ngen = u^4*(x+1)  # \xe9\n")
     a_file = tmp_path / "a_file"
     a_file.write_text("")
+    f2v_lee = tmp_path / "f2v_lee.cfg"
+    f2v_lee.write_text("ring = f2v\nn = 8\nmetric = lee\ngen = x^2+v*x+1\n")
     cases = [
         (("build-verify", "--config", str(bad_number)),
          "config line 2: bad value for n: 'seven'"),
@@ -513,6 +515,8 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
         (("build-verify", "--ring", "f2v", "-n", "8", "--gen", "x^2+v*x+1",
           "--metric", "lee"),
          "--metric lee is for --ring r64, not f2v"),
+        (("build-verify", "--config", str(f2v_lee)),
+         "config line 3: metric lee is for --ring r64, not f2v"),
         # flags a command does not read are errors, not silently dropped
         (("export", "--ring", "r64", "-n", "3", "--gen", "u^5*(x+1)",
           "--format", "csv", "--dna-d", "3", "--metric", "lee",

@@ -25,7 +25,7 @@ from helpers import (
     bfs_closure,
     closure_r_words,
     gray_report_inputs,
-    reference_gray_report_r64,
+    reference_gray_report,
     src_env,
     subcode_u2_by_spanning,
 )
@@ -301,9 +301,11 @@ def test_codon_alphabet_of_ideal_sizes():
 def test_gray_image_report_linear_and_shift_closed():
     for code in (table3_code(), single_generator_code(7, 4, F1)):
         words = code.words(2**16)
-        rep = cyclic.gray_image_report(words, 7)
+        rep = cyclic.gray_image_report(
+            code.gray_image(words), code.ring.LANE * code.n, code.gray_maps()
+        )
         assert rep.linear
-        assert rep.shift_closed
+        assert rep.closed["shift6"]
         assert rep.bit_length == 42
 
 
@@ -394,25 +396,28 @@ def test_gray_report_matches_reference_on_codes_and_non_codes():
         # so the sorted, reversed and cut inputs are packed arrays, and
         # the shuffled and swapped ones lists
         assert isinstance(code.words(), array)
+        maps = code.gray_maps()
         for label, inputs in gray_report_inputs(code, 6 * code.n):
-            got = cyclic.gray_image_report(inputs, code.n)
-            assert got == reference_gray_report_r64(inputs, code.n), (
+            image = code.gray_image(inputs)
+            got = cyclic.gray_image_report(image, 6 * code.n, maps)
+            assert got == reference_gray_report(image, 6 * code.n, maps), (
                 code, label)
 
 
 def test_gray_report_on_linear_sets_that_are_not_shift_closed():
     rng = random.Random(11)
     n = 4
+    maps = cyclic.CyclicCodeR(n, ()).gray_maps()
     checked = 0
     for dim in (1, 1, 1, 2, 2, 3, 5):
         vectors = [rng.getrandbits(6 * n) for _ in range(dim)]
         words = Echelon(vectors).span()
         for inputs in (sorted(words), words, set(words)):
-            got = cyclic.gray_image_report(inputs, n)
-            want = reference_gray_report_r64(inputs, n)
+            got = cyclic.gray_image_report(inputs, 6 * n, maps)
+            want = reference_gray_report(inputs, 6 * n, maps)
             assert got == want
             assert got.linear
-            checked += not got.shift_closed
+            checked += not got.closed["shift6"]
     assert checked >= 15
 
 

@@ -10,7 +10,7 @@ from dnacodes.skew import ONE, V, V1, ZERO, SkewCode, SkewCodeError
 from helpers import (
     closure_skew_words,
     gray_report_inputs,
-    reference_gray_report_skew,
+    reference_gray_report,
 )
 
 
@@ -397,11 +397,13 @@ def test_rc_report_consistency_fields():
 
 def test_gray_report_plain_shift_two_counterexample():
     code = SkewCode.from_case3(2, (V,))
-    rep = skew.gray_image_report(code.words(2**8), 2)
+    rep = cyclic.gray_image_report(
+        code.gray_image(code.words(2**8)), 4, code.gray_maps()
+    )
     assert rep.linear
-    assert rep.skew_shift2_closed
-    assert rep.plain_shift4_closed
-    assert not rep.plain_shift2_closed
+    assert rep.closed["skew_shift2"]
+    assert rep.closed["plain_shift4"]
+    assert not rep.closed["plain_shift2"]
 
 
 def test_search_codes_containing_finds_known_code():
@@ -425,26 +427,27 @@ def test_gray_report_matches_reference_on_codes_and_non_codes():
         SkewCode.from_case1(8, skew.parse_skew_poly("x^4+v*x^3+v*x+1")),
     ]
     for code in codes:
-        n = code.n
+        n, maps = code.n, code.gray_maps()
         for label, inputs in gray_report_inputs(code, 2 * n):
-            got = skew.gray_image_report(inputs, n)
-            assert got == reference_gray_report_skew(inputs, n), (code, label)
+            got = cyclic.gray_image_report(code.gray_image(inputs), 2 * n, maps)
+            image = {skew.gray_image(w, n) for w in inputs}
+            assert got == reference_gray_report(image, 2 * n, maps), (
+                code, label)
 
 
 def test_gray_report_on_linear_sets_that_are_not_shift_closed():
     rng = random.Random(12)
     n = 4
+    code = SkewCode.from_case1(n, skew.parse_skew_poly("x+1"))
+    maps = code.gray_maps()
     open_sets = 0
     for dim in (1, 1, 1, 2, 2, 3, 5):
         vectors = [rng.getrandbits(2 * n) for _ in range(dim)]
         words = cyclic.Echelon(vectors).span()
         for inputs in (sorted(words), words, set(words)):
-            got = skew.gray_image_report(inputs, n)
-            assert got == reference_gray_report_skew(inputs, n)
+            got = cyclic.gray_image_report(code.gray_image(inputs), 2 * n, maps)
+            image = {skew.gray_image(w, n) for w in inputs}
+            assert got == reference_gray_report(image, 2 * n, maps)
             assert got.linear
-            open_sets += not (
-                got.skew_shift2_closed
-                and got.plain_shift2_closed
-                and got.plain_shift4_closed
-            )
+            open_sets += not all(got.closed.values())
     assert open_sets >= 15
