@@ -27,6 +27,10 @@ from .gf2poly import Gf2Poly, GuardExceeded, factor_xn_minus_1, split_top_level
 
 # above this many words build-verify skips its edit scans unless --metric edit
 EDIT_SCAN_MAX_WORDS = 1024
+# above this many words it skips them even then: the all-pairs scan is
+# quadratic, and a weighted nucleotide scan of 4096 words takes about
+# 30 s on a 2-vCPU VM
+EDIT_SCAN_CEILING = 4096
 
 
 class UsageError(ValueError):
@@ -342,10 +346,15 @@ def _verify(cfg: JobConfig, report: Report) -> None:
                                   ("dna_code", cfg.dna_d is not None)) if used]
     if not uses:
         return
-    if cfg.metric != "edit" and len(words) > EDIT_SCAN_MAX_WORDS:
-        skip = f"skipped for {len(words)} words; pass --metric edit to force"
+    if len(words) > EDIT_SCAN_CEILING:
+        skip = f"over the {EDIT_SCAN_CEILING}-word edit-scan ceiling"
+    elif cfg.metric != "edit" and len(words) > EDIT_SCAN_MAX_WORDS:
+        skip = "pass --metric edit to force"
+    else:
+        skip = None
+    if skip:
         for key in uses:
-            report.emit(key, skip)
+            report.emit(key, f"skipped for {len(words)} words; {skip}")
         return
     to_symbols = code.to_dna if level == "nucleotide" else cyclic.codon_symbols
     scan = metrics.min_edit_pairwise([to_symbols(w, n) for w in words], costs)
@@ -408,15 +417,16 @@ def cmd_export(cfg: JobConfig) -> int:
     words = code.words(cfg.guard)
     n = code.n
     to_text = code.to_dna if cfg.fmt == "fasta" else code.ring.word_str
-    texts = [to_text(w, n) for w in words]
-    payload = (codons.fasta(texts) if cfg.fmt == "fasta"
-               else "\n".join(texts) + "\n")
+    # streamed a record at a time: no list of texts beside the words
+    texts = (to_text(w, n) for w in words)
+    records = (codons.fasta(texts) if cfg.fmt == "fasta"
+               else (f"{text}\n" for text in texts))
     if cfg.out:
-        with _writing_out():
-            Path(cfg.out).write_text(payload)
+        with _writing_out(), open(cfg.out, "w") as f:
+            f.writelines(records)
         print(f"written: {cfg.out} ({len(words)} records)")
     else:
-        print(payload, end="")
+        sys.stdout.writelines(records)
     return 0
 
 

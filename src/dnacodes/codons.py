@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import Iterable, Iterator
 
 from . import ring64
 
@@ -267,13 +268,11 @@ def verify_dna_set_rc(strings) -> tuple[bool, tuple[str, ...]]:
     return (not witnesses, witnesses)
 
 
-def fasta(records) -> str:
-    """Render sequences as FASTA with headers cw0, cw1, ... in order."""
-    lines = []
+def fasta(records: Iterable[str]) -> Iterator[str]:
+    """The FASTA records ">cw{i}\n{seq}\n" of the sequences, in order,
+    one at a time, so a writer can stream them."""
     for i, seq in enumerate(records):
-        lines.append(f">cw{i}")
-        lines.append(seq)
-    return "\n".join(lines) + "\n"
+        yield f">cw{i}\n{seq}\n"
 
 
 __all__ = [

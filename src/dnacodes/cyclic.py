@@ -123,10 +123,23 @@ class Echelon:
             for row in rows:
                 out += [w ^ row for w in out]
             return out
-        packed = array("Q", (0,))
-        for row in rows:
-            packed.frombytes(_xor_packed(packed, row))
+        # allocated once; each doubling step fills the upper half in
+        # place, one chunk (one int XOR) at a time, so no whole-array
+        # copy is made; the view is released so callers can resize it
+        order, packed = sys.byteorder, array("Q", (0,)) * (1 << len(rows))
+        with memoryview(packed) as mv, mv.cast("B") as view:
+            for i, row in enumerate(rows):
+                words = min(1 << i, _CHUNK)
+                half, step = 8 << i, 8 * words  # in bytes
+                mask = int.from_bytes(row.to_bytes(8, order) * words, order)
+                for lo in range(0, half, step):
+                    x = int.from_bytes(view[lo : lo + step], order) ^ mask
+                    view[half + lo : half + lo + step] = x.to_bytes(step, order)
         return packed
+
+
+# words per int XOR when Echelon.span fills its array: a power of two
+_CHUNK = 1 << 12
 
 
 def _xor_packed(words: array, v: int) -> bytes:

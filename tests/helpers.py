@@ -12,7 +12,9 @@ report by an Echelon over every word plus a per-word closure loop for
 each named map, the reference for the library's basis certificates.
 subcode_u2_by_spanning builds the u^2 subcode's echelon from every shift
 and u-multiple of its generators, the reference for the library's
-echelon read straight off the level-major rows.  src_env is the one
+echelon read straight off the level-major rows.  span_by_doubling is
+the span as a list doubled a row at a time, the reference for the
+array Echelon.span fills in place a chunk at a time.  src_env is the one
 non-oracle helper: the environment for running the package from this
 checkout in a subprocess.
 """
@@ -113,6 +115,15 @@ def reference_gray_report(image, bit_length, maps):
             name: all(f(y) in image for y in image) for name, f in maps.items()
         },
     )
+
+
+def span_by_doubling(rows):
+    """Echelon.span as a plain list, one Python int per word: the span of
+    the rows so far doubled by each next row, rows by ascending lead."""
+    out = [0]
+    for row in sorted(rows):
+        out += [w ^ row for w in out]
+    return out
 
 
 def convolution_mul(a_bits, b_bits):

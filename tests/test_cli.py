@@ -23,59 +23,60 @@ EXPECTED = Path(__file__).parent / "expected"
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    "name, exit_code, argv",
-    [
-        ("r64_n7_rc_witness", 0,
-         ["build-verify", "--ring", "r64", "-n", "7",
-          "--gen", "u^4*(x+1)*(x^3+x+1)"]),
-        ("f2v_n8_theorem_failure", 1,
-         ["build-verify", "--ring", "f2v", "-n", "8",
-          "--gen", "x^4+v*x^3+v*x+1", "--metric", "hamming"]),
-        ("r64_n7_over_guard", 0,
-         ["build-verify", "--ring", "r64", "-n", "7",
-          "--gen", "u*(x^3+x+1)", "--guard", "1000"]),
-        ("export_csv_r64", 0,
-         ["export", "--ring", "r64", "-n", "7",
-          "--gen", "u^4*(x^6+x^5+x^4+x^3+x^2+x+1)", "--format", "csv"]),
-        ("export_csv_f2v", 0,
-         ["export", "--ring", "f2v", "-n", "4", "--gen", "x^2+1",
-          "--format", "csv"]),
-        ("r64_n9_all_dna", 0,
-         ["build-verify", "--ring", "r64", "-n", "9",
-          "--gen", "u^5*(x^2+x+1)", "--metric", "all", "--dna-d", "9"]),
-        ("r64_n7_nucleotide_costs_dna", 0,
-         ["build-verify", "--ring", "r64", "-n", "7",
-          "--gen", "u^4*(x+1)*(x^3+x+1)", "--level", "nucleotide",
-          "--costs", str(EXPECTED / "weighted_costs.csv"), "--dna-d", "12"]),
-        ("r64_n7_2e16_hamming", 0,
-         ["build-verify", "--ring", "r64", "-n", "7",
-          "--gen", "u^2*(x^3+x+1)", "--metric", "hamming"]),
-        ("f2v_n4_case2_all", 0,
-         ["build-verify", "--ring", "f2v", "-n", "4",
-          "--gen", "v*x+v", "--gen", "x+1", "--metric", "all"]),
-        ("f2v_n8_case3_all", 0,
-         ["build-verify", "--ring", "f2v", "-n", "8",
-          "--gen", "(v+1)*x^4+(v+1)", "--metric", "all"]),
-        ("f2v_n8_over_guard", 0,
-         ["build-verify", "--ring", "f2v", "-n", "8", "--gen", "x+1",
-          "--guard", "1000"]),
-        ("f2v_n8_readme_edit_skipped", 1,
-         ["build-verify", "--ring", "f2v", "-n", "8", "--gen", "x^2+v*x+1"]),
-        ("r64_n7_lee", 0,
-         ["build-verify", "--ring", "r64", "-n", "7",
-          "--gen", "u^3*(x^3+x+1)", "--metric", "lee"]),
-        ("r64_n7_edit_not_self_reciprocal", 0,
-         ["build-verify", "--ring", "r64", "-n", "7",
-          "--gen", "u^4*(x^3+x+1)", "--metric", "edit"]),
-        ("export_fasta_r64", 0,
-         ["export", "--ring", "r64", "-n", "7", "--gen", "u^5*(x+1)",
-          "--format", "fasta"]),
-        ("export_fasta_f2v", 0,
-         ["export", "--ring", "f2v", "-n", "4", "--gen", "x^2+1",
-          "--format", "fasta"]),
-    ],
-)
+# report and export text pinned in tests/expected/<name>.txt
+PINNED = [
+    ("r64_n7_rc_witness", 0,
+     ["build-verify", "--ring", "r64", "-n", "7",
+      "--gen", "u^4*(x+1)*(x^3+x+1)"]),
+    ("f2v_n8_theorem_failure", 1,
+     ["build-verify", "--ring", "f2v", "-n", "8",
+      "--gen", "x^4+v*x^3+v*x+1", "--metric", "hamming"]),
+    ("r64_n7_over_guard", 0,
+     ["build-verify", "--ring", "r64", "-n", "7",
+      "--gen", "u*(x^3+x+1)", "--guard", "1000"]),
+    ("export_csv_r64", 0,
+     ["export", "--ring", "r64", "-n", "7",
+      "--gen", "u^4*(x^6+x^5+x^4+x^3+x^2+x+1)", "--format", "csv"]),
+    ("export_csv_f2v", 0,
+     ["export", "--ring", "f2v", "-n", "4", "--gen", "x^2+1",
+      "--format", "csv"]),
+    ("r64_n9_all_dna", 0,
+     ["build-verify", "--ring", "r64", "-n", "9",
+      "--gen", "u^5*(x^2+x+1)", "--metric", "all", "--dna-d", "9"]),
+    ("r64_n7_nucleotide_costs_dna", 0,
+     ["build-verify", "--ring", "r64", "-n", "7",
+      "--gen", "u^4*(x+1)*(x^3+x+1)", "--level", "nucleotide",
+      "--costs", str(EXPECTED / "weighted_costs.csv"), "--dna-d", "12"]),
+    ("r64_n7_2e16_hamming", 0,
+     ["build-verify", "--ring", "r64", "-n", "7",
+      "--gen", "u^2*(x^3+x+1)", "--metric", "hamming"]),
+    ("f2v_n4_case2_all", 0,
+     ["build-verify", "--ring", "f2v", "-n", "4",
+      "--gen", "v*x+v", "--gen", "x+1", "--metric", "all"]),
+    ("f2v_n8_case3_all", 0,
+     ["build-verify", "--ring", "f2v", "-n", "8",
+      "--gen", "(v+1)*x^4+(v+1)", "--metric", "all"]),
+    ("f2v_n8_over_guard", 0,
+     ["build-verify", "--ring", "f2v", "-n", "8", "--gen", "x+1",
+      "--guard", "1000"]),
+    ("f2v_n8_readme_edit_skipped", 1,
+     ["build-verify", "--ring", "f2v", "-n", "8", "--gen", "x^2+v*x+1"]),
+    ("r64_n7_lee", 0,
+     ["build-verify", "--ring", "r64", "-n", "7",
+      "--gen", "u^3*(x^3+x+1)", "--metric", "lee"]),
+    ("r64_n7_edit_not_self_reciprocal", 0,
+     ["build-verify", "--ring", "r64", "-n", "7",
+      "--gen", "u^4*(x^3+x+1)", "--metric", "edit"]),
+    ("export_fasta_r64", 0,
+     ["export", "--ring", "r64", "-n", "7", "--gen", "u^5*(x+1)",
+      "--format", "fasta"]),
+    ("export_fasta_f2v", 0,
+     ["export", "--ring", "f2v", "-n", "4", "--gen", "x^2+1",
+      "--format", "fasta"]),
+]
+
+
+@pytest.mark.parametrize("name, exit_code, argv", PINNED)
 def test_report_text_is_pinned(capsys, name, exit_code, argv):
     # the whole stdout, line order included, against a stored copy
     code, out, _ = run(capsys, *argv)
@@ -264,6 +265,20 @@ def test_build_verify_edit_scan_capped(capsys):
     assert "min_edit: skipped for 4096 words" in out
 
 
+def test_forced_edit_scan_stops_at_the_ceiling():
+    # 2^18 words: even --metric edit skips the 3.4e10-pair scan
+    proc = subprocess.run(
+        [sys.executable, "-m", "dnacodes", "build-verify", "--ring", "r64",
+         "-n", "7", "--gen", "u^3*(x+1)", "--metric", "edit"],
+        capture_output=True, text=True, env=src_env(), timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    skip = "skipped for 262144 words; over the 4096-word edit-scan ceiling"
+    lines = proc.stdout.splitlines()
+    assert f"min_edit: {skip}" in lines
+    assert f"edit_bounds: {skip}" in lines
+
+
 def test_edit_bound_check_is_skipped_over_the_word_cap(capsys):
     # 4096 words under the default --metric all
     code, out, _ = run(
@@ -295,6 +310,21 @@ def test_table_regeneration(capsys, tmp_path, which):
 def test_table_usage_errors(capsys):
     assert run(capsys, "table")[0] == 2
     assert run(capsys, "table", "-w", "7")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "name, argv", [(name, argv) for name, _, argv in PINNED
+                   if name.startswith("export_")]
+)
+def test_export_out_file_holds_the_pinned_stdout(capsys, tmp_path, name, argv):
+    # the records are streamed to --out as to stdout: the same bytes
+    out_file = tmp_path / "words.txt"
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert (code, err) == (0, "")
+    expected = (EXPECTED / f"{name}.txt").read_bytes()
+    assert out_file.read_bytes() == expected
+    records = len(expected.splitlines()) // (2 if "fasta" in name else 1)
+    assert out == f"written: {out_file} ({records} records)\n"
 
 
 def test_export_fasta_r64(capsys, tmp_path):

@@ -144,8 +144,8 @@ def test_verify_dna_set_rc():
 
 
 def test_fasta_format():
-    out = codons.fasta(["GGG", "CCC"])
-    assert out.splitlines() == [">cw0", "GGG", ">cw1", "CCC"]
+    out = "".join(codons.fasta(["GGG", "CCC"]))
+    assert out == ">cw0\nGGG\n>cw1\nCCC\n"
 
 
 def test_encode_word_matches_the_codon_join_at_every_position():

@@ -26,6 +26,7 @@ from helpers import (
     closure_r_words,
     gray_report_inputs,
     reference_gray_report,
+    span_by_doubling,
     src_env,
     subcode_u2_by_spanning,
 )
@@ -83,14 +84,28 @@ def test_span_packed_matches_list_doubling(bits):
     rng = random.Random(bits)
     for _ in range(30):
         ech = Echelon(rng.getrandbits(bits) for _ in range(rng.randrange(9)))
-        want = [0]
-        for row in sorted(ech.basis()):  # ascending lead
-            want += [w ^ row for w in want]
+        want = span_by_doubling(ech.basis())
         span = ech.span()
         assert list(span) == want
         packed = isinstance(span, array)
         assert packed == (max(want) < 1 << 64)
         assert not packed or span.typecode == "Q"
+
+
+@pytest.mark.parametrize("top", [15, 40, 63, 64])
+def test_span_matches_doubling_across_chunks(top):
+    # dims 0..15 cross the fill's chunk size; top 63 sets bit 63 of the
+    # packed words, and top 64 takes the list path
+    assert 1 << 15 > 2 * cyclic._CHUNK
+    rng = random.Random(top)
+    for dim in range(16):
+        leads = sorted(rng.sample(range(top), dim - 1)) + [top] if dim else []
+        ech = Echelon(1 << lead | rng.getrandbits(lead) for lead in leads)
+        assert ech.dim == dim
+        span, want = ech.span(), span_by_doubling(ech.basis())
+        assert list(span) == want
+        assert isinstance(span, array) == (want[-1] < 1 << 64)
+        span.append(0)  # BufferError if a view of the array were left open
 
 
 def test_words_come_out_ascending():
