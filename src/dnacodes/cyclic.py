@@ -138,7 +138,8 @@ class Echelon:
         return packed
 
 
-# words per int XOR when Echelon.span fills its array: a power of two
+# words per int operation when Echelon.span fills its array and when
+# rc_closed_extensional makes rc images: a power of two
 _CHUNK = 1 << 12
 
 
@@ -323,11 +324,33 @@ def rc_closed_extensional(
 ) -> tuple[bool, int | None]:
     """Reverse-complement check of the code's enumerated words, listed
     ascending; the witness is the least word whose reverse complement
-    is not among them, or None if there is none."""
-    rc, n = code.ring.word_reverse_complement, code.n
-    for w in words:
-        if not has_word(words, rc(w, n)):
-            return False, w
+    is not among them, or None if there is none.
+
+    Packed words whose images fit 64 bits are taken _CHUNK at a time:
+    the chunk read as one int gets every image at once, rc(w) =
+    reverse(w) ^ rc(0), the reverse one masked shift per lane; the
+    images are then looked up in order.
+    """
+    n, ring, lane = code.n, code.ring, code.ring.LANE
+    if not isinstance(words, array) or lane * n > 64:
+        rc = ring.word_reverse_complement
+        for w in words:
+            if not has_word(words, rc(w, n)):
+                return False, w
+        return True, None
+    order, rc0 = sys.byteorder, ring.word_reverse_complement(0, n)
+    for lo in range(0, len(words), _CHUNK):
+        chunk = words[lo : lo + _CHUNK]
+        size = 8 * len(chunk)  # in bytes
+        ones = int.from_bytes((1).to_bytes(8, order) * len(chunk), order)
+        x, images = int.from_bytes(chunk, order), rc0 * ones
+        lane_mask = ((1 << lane) - 1) * ones
+        for j in range(n):
+            part, shift = x & lane_mask << lane * j, lane * (n - 1 - 2 * j)
+            images ^= part << shift if shift >= 0 else part >> -shift
+        for w, image in zip(chunk, array("Q", images.to_bytes(size, order))):
+            if not has_word(words, image):
+                return False, w
     return True, None
 
 

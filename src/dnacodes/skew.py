@@ -110,28 +110,39 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
 def poly_right_divmod(
     dividend: Sequence[int], divisor: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Divide on the right by a monic divisor: dividend = q * divisor + r."""
-    divisor = poly_normalize(divisor)
-    if not divisor:
+    """Divide on the right by a monic divisor: dividend = q * divisor + r.
+
+    Each operand is one int with a byte lane per coefficient, lowest
+    degree in the low byte.  A step clears the top lane c of the
+    remainder by XORing in c*theta^k(divisor) shifted k lanes up (the
+    leading coefficient of (c x^k)*divisor is c*theta^k(1) = c).  theta
+    and the products by v and v+1 are lane-wise masks, so no lane
+    carries into the next.
+    """
+    g = int.from_bytes(bytes(divisor), "little")
+    if not g:
         raise ZeroDivisionError("skew division by zero")
-    if divisor[-1] != ONE:
+    low = (g.bit_length() - 1) & ~7  # 8 * deg(divisor)
+    if g >> low != ONE:
         raise ValueError("right division needs a monic divisor")
-    d = len(divisor) - 1
-    rem = list(dividend)
-    while rem and rem[-1] == 0:
-        rem.pop()
-    quot = [0] * max(len(rem) - d, 0)
-    while len(rem) - 1 >= d and rem:
-        k = len(rem) - 1 - d
-        qk = rem[-1]  # leading coeff of (qk x^k)*divisor is qk*theta^k(1)=qk
-        quot[k] = qk
-        twisted = divisor if k % 2 == 0 else tuple(THETA[c] for c in divisor)
-        for j, b in enumerate(twisted):
-            if b:
-                rem[k + j] ^= _MUL[qk][b]
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return poly_normalize(quot), poly_normalize(rem)
+    ones = (1 << low + 8) // 255  # bit 0 of every lane of the divisor
+    rem = int.from_bytes(bytes(dividend), "little")
+    quot = 0
+    top = (rem.bit_length() - 1) & ~7
+    while top >= low:
+        c, k = rem >> top, top - low  # c x^(k/8) is the quotient's term
+        h = g ^ (g >> 1 & ones) if k & 8 else g  # theta^k(divisor)
+        if c == V:
+            h = ((h ^ h >> 1) & ones) << 1
+        elif c == V1:
+            h = (h & ones) * 3
+        quot |= c << k
+        rem ^= h << k
+        top = (rem.bit_length() - 1) & ~7
+    return (
+        tuple(quot.to_bytes(quot.bit_length() + 7 >> 3, "little")),
+        tuple(rem.to_bytes(rem.bit_length() + 7 >> 3, "little")),
+    )
 
 
 def poly_reciprocal(p: Sequence[int]) -> tuple[int, ...]:

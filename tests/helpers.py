@@ -14,7 +14,11 @@ subcode_u2_by_spanning builds the u^2 subcode's echelon from every shift
 and u-multiple of its generators, the reference for the library's
 echelon read straight off the level-major rows.  span_by_doubling is
 the span as a list doubled a row at a time, the reference for the
-array Echelon.span fills in place a chunk at a time.  src_env is the one
+array Echelon.span fills in place a chunk at a time.
+reference_poly_right_divmod is skew right division on coefficient
+lists, the reference for the library's byte-lane kernel, and
+rc_closed_by_word is the reverse-complement check one word at a time,
+the reference for the library's chunked images.  src_env is the one
 non-oracle helper: the environment for running the package from this
 checkout in a subprocess.
 """
@@ -124,6 +128,45 @@ def span_by_doubling(rows):
     for row in sorted(rows):
         out += [w ^ row for w in out]
     return out
+
+
+def reference_poly_right_divmod(dividend, divisor):
+    """skew.poly_right_divmod on coefficient lists: dividend = q * divisor
+    + r, one scalar at a time."""
+    from dnacodes.skew import _MUL, ONE, THETA, poly_normalize
+
+    divisor = poly_normalize(divisor)
+    if not divisor:
+        raise ZeroDivisionError("skew division by zero")
+    if divisor[-1] != ONE:
+        raise ValueError("right division needs a monic divisor")
+    d = len(divisor) - 1
+    rem = list(dividend)
+    while rem and rem[-1] == 0:
+        rem.pop()
+    quot = [0] * max(len(rem) - d, 0)
+    while len(rem) - 1 >= d and rem:
+        k = len(rem) - 1 - d
+        qk = rem[-1]  # leading coeff of (qk x^k)*divisor is qk*theta^k(1)=qk
+        quot[k] = qk
+        twisted = divisor if k % 2 == 0 else tuple(THETA[c] for c in divisor)
+        for j, b in enumerate(twisted):
+            if b:
+                rem[k + j] ^= _MUL[qk][b]
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return poly_normalize(quot), poly_normalize(rem)
+
+
+def rc_closed_by_word(code, words):
+    """cyclic.rc_closed_extensional, one reverse complement per word."""
+    from dnacodes.cyclic import has_word
+
+    rc, n = code.ring.word_reverse_complement, code.n
+    for w in words:
+        if not has_word(words, rc(w, n)):
+            return False, w
+    return True, None
 
 
 def convolution_mul(a_bits, b_bits):

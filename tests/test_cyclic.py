@@ -25,6 +25,7 @@ from helpers import (
     bfs_closure,
     closure_r_words,
     gray_report_inputs,
+    rc_closed_by_word,
     reference_gray_report,
     span_by_doubling,
     src_env,
@@ -552,18 +553,73 @@ def test_linear_basis_in_order_certificate():
 
 def test_rc_witness_is_the_least_violating_word():
     # every code the two rc campaigns enumerate, against a set-based scan
+    # and the per-word check, packed and as a list
     codes = [CyclicCodeR.from_tower(n, polys)
              for n in (3, 5, 7) for polys in iter_admissible_towers(n)]
-    codes += [code for n in (2, 4, 6, 8) for code in skew.all_codes(n)]
+    codes += [code for n in (2, 4, 6, 8, 10) for code in skew.all_codes(n)]
     checked = 0
     for code in codes:
         if code.size() > 2**16:
             continue
         words = code.words(2**16)
+        assert isinstance(words, array)
         word_set = set(words)
         rc = code.ring.word_reverse_complement
         violating = [w for w in word_set if rc(w, code.n) not in word_set]
         want = (False, min(violating)) if violating else (True, None)
         assert cyclic.rc_closed_extensional(code, words) == want, code
+        assert cyclic.rc_closed_extensional(code, list(words)) == want, code
+        assert rc_closed_by_word(code, words) == want, code
         checked += 1
-    assert checked == 181 + 90  # the campaigns' codes_enumerated
+    assert checked == 181 + 136  # both campaigns' codes_enumerated
+
+
+# rc-closed codes of 2^14 words, so their packed words span four chunks
+_CHUNKED_RC_CODES = (
+    CyclicCodeR.from_tower(5, [Gf2Poly.from_string("x^4+x^3+x^2+x+1")] * 4
+                           + [Gf2Poly(1)] * 2),
+    skew.SkewCode.from_case1(8, (skew.ONE, skew.ONE)),
+)
+
+
+@pytest.mark.parametrize("code", _CHUNKED_RC_CODES, ids=("r64", "f2v"))
+def test_rc_chunked_matches_per_word_check_across_chunks(code):
+    words = code.words()
+    assert isinstance(words, array) and len(words) == 2**14
+    assert code.rc_closed()
+    assert cyclic.rc_closed_extensional(code, words) == (True, None)
+    late_witnesses = 0
+    for i in range(4096, 8192, 1024):  # all in the second chunk
+        w = words[i]
+        flip = next(w ^ 1 << b for b in range(64)
+                    if not code.contains(w ^ 1 << b))
+        dropped = words[:i] + words[i + 1 :]
+        flipped = array("Q", sorted([*words[:i], flip, *words[i + 1 :]]))
+        for listing in (dropped, flipped):
+            want = rc_closed_by_word(code, listing)
+            assert want[0] is False
+            assert cyclic.rc_closed_extensional(code, listing) == want, i
+            late_witnesses += want[1] >= words[4096]
+    assert late_witnesses  # some witness lies past the first chunk
+
+
+def test_rc_check_of_words_past_64_bits_matches_per_word_check():
+    # x^11 - 1 = (x + 1) * phi, with phi of degree 10
+    full, one = x_pow_n_minus_1(11), Gf2Poly(1)
+    phi = full // F0
+    closed = 0
+    for polys in ([phi] * 6, [phi] * 5 + [one], [full] * 5 + [phi],
+                  [full] * 3 + [phi] * 2 + [one]):
+        code = CyclicCodeR.from_tower(11, polys)
+        words = code.words(2**16)
+        assert isinstance(words, list) and words[-1] >> 64
+        want = rc_closed_by_word(code, words)
+        assert cyclic.rc_closed_extensional(code, words) == want, polys
+        closed += want[0]
+    assert 0 < closed < 4  # both outcomes are covered
+    # the zero code's one word fits a packed array, its rc image does not
+    for code in (CyclicCodeR.from_tower(11, [full] * 6),
+                 skew.SkewCode.from_case1(34, skew.x_pow_n_minus_1(34))):
+        words = code.words()
+        assert isinstance(words, array) and list(words) == [0]
+        assert cyclic.rc_closed_extensional(code, words) == (False, 0)

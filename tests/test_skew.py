@@ -11,6 +11,7 @@ from helpers import (
     closure_skew_words,
     gray_report_inputs,
     reference_gray_report,
+    reference_poly_right_divmod,
 )
 
 
@@ -103,6 +104,44 @@ def test_right_divmod_rejects_bad_divisors():
         skew.poly_right_divmod((ONE,), ())
     with pytest.raises(ValueError):
         skew.poly_right_divmod((ONE, ONE), (V, ONE, V))  # leading v
+
+
+def test_right_divmod_matches_reference_on_every_divisor_candidate():
+    for n in range(2, 9):
+        target = skew.x_pow_n_minus_1(n)
+        for d in range(1, n):
+            for g in skew.monic_right_divisor_candidates(n, d):
+                want = reference_poly_right_divmod(target, g)
+                assert skew.poly_right_divmod(target, g) == want, (n, g)
+
+
+def test_right_divmod_matches_reference_on_random_pairs():
+    # degrees past 8 lanes (one 64-bit word) and trailing zero
+    # coefficients on both operands, which neither side may keep
+    rng = random.Random(2014)
+    for _ in range(3000):
+        f = [rng.randrange(4) for _ in range(rng.randrange(41))]
+        g = [rng.randrange(4) for _ in range(rng.randrange(41))] + [ONE]
+        f += [ZERO] * rng.randrange(3)
+        g += [ZERO] * rng.randrange(3)
+        want = reference_poly_right_divmod(f, g)
+        assert skew.poly_right_divmod(tuple(f), tuple(g)) == want, (f, g)
+        assert skew.poly_right_divmod(f, g) == want, (f, g)
+
+
+@pytest.mark.parametrize("divisor, error", [
+    ((), ZeroDivisionError),
+    ((ZERO, ZERO), ZeroDivisionError),
+    ((ONE, V), ValueError),
+    ((ONE, ONE, V1), ValueError),
+    ((V1, ZERO, V, ZERO), ValueError),
+])
+def test_right_divmod_raises_as_the_reference(divisor, error):
+    for dividend in ((), (ONE,), (ONE, ZERO, V, ONE)):
+        with pytest.raises(error):
+            reference_poly_right_divmod(dividend, divisor)
+        with pytest.raises(error):
+            skew.poly_right_divmod(dividend, divisor)
 
 
 def test_reciprocal_worked_example():
