@@ -317,14 +317,14 @@ def _verify(cfg: JobConfig, report: Report) -> None:
     )
     if not ext_closed and witness is not None:
         word_str = code.witness_str
-        missing = code.ring.word_reverse_complement(witness, n)
+        missing = code.lanes.word_reverse_complement(witness, n)
         report.emit(
             "rc_witness",
             f"{word_str(witness, n)} whose reverse-complement "
             f"{word_str(missing, n)} is not in the code",
         )
     gray = cyclic.gray_image_report(
-        code.gray_image(words), code.ring.LANE * n, code.gray_maps()
+        code.gray_image(words), code.lanes.lane * n, code.gray_maps()
     )
     report.check("gray_linear", gray.linear)
     for name, closed in gray.closed.items():
@@ -416,7 +416,7 @@ def cmd_export(cfg: JobConfig) -> int:
         return 2
     words = code.words(cfg.guard)
     n = code.n
-    to_text = code.to_dna if cfg.fmt == "fasta" else code.ring.word_str
+    to_text = code.to_dna if cfg.fmt == "fasta" else code.lanes.word_str
     # streamed a record at a time: no list of texts beside the words
     texts = (to_text(w, n) for w in words)
     records = (codons.fasta(texts) if cfg.fmt == "fasta"

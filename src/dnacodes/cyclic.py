@@ -26,6 +26,7 @@ from .gf2poly import (
     factor_xn_minus_1,
     x_pow_n_minus_1,
 )
+from .lanes import Lanes, reverse_lanes
 
 DEFAULT_GUARD = 2**20
 
@@ -212,10 +213,9 @@ class LinearCode:
     Both rings share the reverse-complement argument: rc(w) = reverse(w)
     + a constant complement word, so a linear code is rc-closed iff it
     contains that word and is closed under coordinate reversal.
-    Subclasses set ``ring`` to the module of their packed-word
-    operations (LANE, word_reverse, word_reverse_complement,
-    word_hamming_weight, word_str) and define spanning_words,
-    complement_word and generators_self_reciprocal.
+    Subclasses set ``lanes`` to the Lanes of their packed words (lane
+    width, complement constant, coordinate text) and define
+    spanning_words and generators_self_reciprocal.
 
     For build-verify each subclass also supplies its ring's facts:
     report_lines, gray_image and gray_maps (maps named in
@@ -224,13 +224,15 @@ class LinearCode:
     """
 
     n: int
+    lanes: Lanes
     gray_informational: tuple[str, ...] = ()
 
     def spanning_words(self) -> list[int]:
         raise NotImplementedError
 
     def complement_word(self) -> int:
-        raise NotImplementedError
+        """Every coordinate the ring's complement constant."""
+        return self.lanes.complement_word(self.n)
 
     def generators_self_reciprocal(self) -> bool:
         raise NotImplementedError
@@ -270,7 +272,7 @@ class LinearCode:
         return self.contains(self.complement_word())
 
     def reversal_closed(self) -> bool:
-        reverse, n = self.ring.word_reverse, self.n
+        reverse, n = self.lanes.word_reverse, self.n
         return all(self.contains(reverse(b, n)) for b in self.basis())
 
     def rc_closed(self) -> bool:
@@ -280,8 +282,7 @@ class LinearCode:
     def min_hamming(self, words: Sequence[int], guard: int) -> int:
         """The least Hamming weight of a nonzero word, by a scan of the
         code's enumerated words."""
-        n = self.n
-        return min(self.ring.word_hamming_weight(w, n) for w in words if w)
+        return metrics.min_nonzero_hamming_weight(words, self.n, self.lanes)
 
 
 @dataclass(frozen=True)
@@ -328,26 +329,23 @@ def rc_closed_extensional(
 
     Packed words whose images fit 64 bits are taken _CHUNK at a time:
     the chunk read as one int gets every image at once, rc(w) =
-    reverse(w) ^ rc(0), the reverse one masked shift per lane; the
-    images are then looked up in order.
+    reverse(w) ^ rc(0), by one reverse_lanes call; the images are then
+    looked up in order.
     """
-    n, ring, lane = code.n, code.ring, code.ring.LANE
-    if not isinstance(words, array) or lane * n > 64:
-        rc = ring.word_reverse_complement
+    n, lanes = code.n, code.lanes
+    if not isinstance(words, array) or lanes.lane * n > 64:
+        rc = lanes.word_reverse_complement
         for w in words:
             if not has_word(words, rc(w, n)):
                 return False, w
         return True, None
-    order, rc0 = sys.byteorder, ring.word_reverse_complement(0, n)
+    order, rc0 = sys.byteorder, lanes.complement_word(n)
     for lo in range(0, len(words), _CHUNK):
         chunk = words[lo : lo + _CHUNK]
         size = 8 * len(chunk)  # in bytes
         ones = int.from_bytes((1).to_bytes(8, order) * len(chunk), order)
-        x, images = int.from_bytes(chunk, order), rc0 * ones
-        lane_mask = ((1 << lane) - 1) * ones
-        for j in range(n):
-            part, shift = x & lane_mask << lane * j, lane * (n - 1 - 2 * j)
-            images ^= part << shift if shift >= 0 else part >> -shift
+        x = int.from_bytes(chunk, order)
+        images = reverse_lanes(x, n, lanes.lane, ones) ^ rc0 * ones
         for w, image in zip(chunk, array("Q", images.to_bytes(size, order))):
             if not has_word(words, image):
                 return False, w
@@ -409,7 +407,7 @@ class TorsionProfile:
 class CyclicCodeR(LinearCode):
     """An ideal of R[x]/(x^n - 1) given by generator words."""
 
-    ring = ring64
+    lanes = ring64.WORDS
 
     def __init__(
         self,
@@ -419,7 +417,7 @@ class CyclicCodeR(LinearCode):
     ):
         self.n = n
         self.generators = tuple(
-            w & ring64.full_mask(n) for w in generator_words
+            w & self.lanes.full_mask(n) for w in generator_words
         )
         self.tower = tower
 
@@ -454,13 +452,9 @@ class CyclicCodeR(LinearCode):
                     s = w
                     for _ in range(n):
                         out.append(s)
-                        s = ring64.word_shift(s, n)
+                        s = ring64.WORDS.word_shift(s, n)
                 w = ring64.word_scale_u(w, n)
         return out
-
-    def complement_word(self) -> int:
-        """The alpha-identity word: every coordinate the all-ones element."""
-        return ring64.full_mask(self.n)
 
     def generators_self_reciprocal(self) -> bool:
         """Every tower polynomial is self-reciprocal."""
@@ -510,7 +504,7 @@ class CyclicCodeR(LinearCode):
     def gray_maps(self) -> dict[str, Callable[[int], int]]:
         """The image of a cyclic code is closed under rotation by 6 bits."""
         n = self.n
-        return {"shift6": lambda w: ring64.word_shift(w, n)}
+        return {"shift6": lambda w: ring64.WORDS.word_shift(w, n)}
 
     @property
     def to_dna(self) -> Callable[[int, int], str]:
@@ -518,7 +512,7 @@ class CyclicCodeR(LinearCode):
 
     @property
     def witness_str(self) -> Callable[[int, int], str]:
-        return ring64.word_str
+        return self.lanes.word_str
 
     # -- torsion ------------------------------------------------------------
 
@@ -586,7 +580,7 @@ class CyclicCodeR(LinearCode):
         enumerated words."""
         d, witness = self.socle_min_hamming(guard)
         if (not has_word(words, witness)
-                or ring64.word_hamming_weight(witness, self.n) != d):
+                or self.lanes.word_hamming_weight(witness, self.n) != d):
             raise RuntimeError(f"socle minimum {d} has no enumerated witness")
         return d
 
@@ -723,7 +717,7 @@ class DnaClassification:
 
 def codon_symbols(word: int, n: int) -> tuple[str, ...]:
     table = codons.canonical_table()
-    return tuple(table.codon(x) for x in ring64.unpack_word(word, n))
+    return tuple(table.codon(x) for x in ring64.WORDS.unpack_word(word, n))
 
 
 def classify_dna_code(
@@ -739,7 +733,7 @@ def classify_dna_code(
     n = code.n
     closed, witness = rc_closure
     fixed = tuple(
-        w for w in words if ring64.word_reverse_complement(w, n) == w
+        w for w in words if code.lanes.word_reverse_complement(w, n) == w
     )
     return DnaClassification(
         n=n,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Callable, Collection, Hashable, Iterable, Sequence
 
-from . import ring64
+from .lanes import Lanes
 
 GAP = "-"
 
@@ -433,14 +433,17 @@ def _weighted_rows(
         yield _unpack(prev[-1], k - 1 - i, width, fmt)
 
 
-def min_nonzero_hamming_weight(words: Iterable[int], n: int) -> int:
-    """Minimum Hamming distance of a linear packed-word code.
+def min_nonzero_hamming_weight(
+    words: Iterable[int], n: int, lanes: Lanes
+) -> int:
+    """Minimum Hamming distance of a linear code of words packed as
+    lanes packs them.
 
     For a code closed under addition the minimum pairwise distance
     equals the minimum weight of a nonzero codeword.
     """
     best = min(
-        map(ring64.word_hamming_weight, filter(None, words), repeat(n)),
+        map(lanes.word_hamming_weight, filter(None, words), repeat(n)),
         default=n + 1,
     )
     if best > n:

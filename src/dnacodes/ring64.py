@@ -16,14 +16,15 @@ the Lee weight is the popcount.
 
 Length-n words over the ring are packed 6 bits per coordinate into one
 int (coordinate 0 lowest), so word addition is XOR and the binary Gray
-image of a word *is* its packed int.  The helpers below implement the
-cyclic shift, scalar action, coordinate reversal and complement needed
-by the code-enumeration layer.
+image of a word *is* its packed int.  WORDS holds the operations every
+lane width shares (cyclic shift, coordinate reversal, complement,
+Hamming weight, text; see dnacodes.lanes); the helpers below add the
+scalar action this ring's codes need.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from .lanes import Lanes, spread
 
 SIZE = 64
 MASK = 63
@@ -84,6 +85,9 @@ def to_bitstring(x: int) -> str:
     return "".join(str((x >> i) & 1) for i in range(6))
 
 
+_BITSTRINGS = tuple(to_bitstring(x) for x in range(SIZE))
+
+
 def from_bitstring(s: str) -> int:
     if len(s) != 6 or any(c not in "01" for c in s):
         raise ValueError(f"not a 6-bit element string: {s!r}")
@@ -117,46 +121,14 @@ def ideal_members(i: int) -> frozenset[int]:
 # packed length-n words
 
 
-@lru_cache(maxsize=None)
-def full_mask(n: int) -> int:
-    """All lanes set: the packed all-ALL_ONES word."""
-    m = 0
-    for _ in range(n):
-        m = (m << LANE) | MASK
-    return m
-
-
-@lru_cache(maxsize=None)
-def _u_scale_mask(n: int) -> int:
-    # after "<< 1" keep bits 1..5 of each lane (drop u^5 overflow and
-    # anything that crossed into the next lane)
-    m = 0
-    for _ in range(n):
-        m = (m << LANE) | 0b111110
-    return m
-
-
-def pack_word(coords, n: int | None = None) -> int:
-    coords = list(coords)
-    if n is not None and len(coords) != n:
-        raise ValueError(f"expected {n} coordinates, got {len(coords)}")
-    w = 0
-    for j, x in enumerate(coords):
-        w |= check_element(x) << (LANE * j)
-    return w
-
-def unpack_word(w: int, n: int) -> tuple[int, ...]:
-    return tuple((w >> (LANE * j)) & MASK for j in range(n))
-
-
-def word_shift(w: int, n: int) -> int:
-    """Cyclic shift (c0,...,c_{n-1}) -> (c_{n-1},c0,...); times x mod x^n-1."""
-    return ((w << LANE) | (w >> (LANE * (n - 1)))) & full_mask(n)
+WORDS = Lanes(LANE, ALL_ONES, _BITSTRINGS)
 
 
 def word_scale_u(w: int, n: int) -> int:
     """Multiply every coordinate by u."""
-    return (w << 1) & _u_scale_mask(n)
+    # after "<< 1" keep bits 1..5 of each lane (drop u^5 overflow and
+    # anything that crossed into the next lane)
+    return (w << 1) & spread(0b111110, n, LANE)
 
 
 def word_scale(w: int, c: int, n: int) -> int:
@@ -169,44 +141,6 @@ def word_scale(w: int, c: int, n: int) -> int:
         w = word_scale_u(w, n)
         c >>= 1
     return r
-
-
-def word_reverse(w: int, n: int) -> int:
-    r = 0
-    for _ in range(n):
-        r = (r << LANE) | (w & MASK)
-        w >>= LANE
-    return r
-
-
-def word_complement(w: int, n: int) -> int:
-    """Coordinatewise complement; reverse+complement is the rc image."""
-    return w ^ full_mask(n)
-
-
-def word_reverse_complement(w: int, n: int) -> int:
-    return word_reverse(w, n) ^ full_mask(n)
-
-
-def word_lee_weight(w: int) -> int:
-    return w.bit_count()
-
-
-def word_hamming_weight(w: int, n: int) -> int:
-    """Number of non-zero coordinates."""
-    # fold each 6-bit lane onto its lowest bit
-    t = w | (w >> 1)
-    t |= t >> 2
-    t |= t >> 2
-    return (t & _lane_lsb_mask(n)).bit_count()
-
-
-@lru_cache(maxsize=None)
-def _lane_lsb_mask(n: int) -> int:
-    m = 0
-    for _ in range(n):
-        m = (m << LANE) | 1
-    return m
 
 
 def word_from_poly(value: int, n: int, level: int = 0) -> int:
@@ -231,10 +165,6 @@ def word_from_poly(value: int, n: int, level: int = 0) -> int:
     return w
 
 
-def word_str(w: int, n: int) -> str:
-    return ",".join(to_bitstring(x) for x in unpack_word(w, n))
-
-
 __all__ = [
     "SIZE",
     "MASK",
@@ -252,17 +182,8 @@ __all__ = [
     "is_unit",
     "ideal_members",
     "check_element",
-    "full_mask",
-    "pack_word",
-    "unpack_word",
-    "word_shift",
+    "WORDS",
     "word_scale_u",
     "word_scale",
-    "word_reverse",
-    "word_complement",
-    "word_reverse_complement",
-    "word_lee_weight",
-    "word_hamming_weight",
     "word_from_poly",
-    "word_str",
 ]

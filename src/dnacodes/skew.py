@@ -5,20 +5,20 @@ multiplication, so x*a = theta(a)*x.  Codes of even length n are
 submodules of (F2+vF2)^n closed under the twisted cyclic shift.  Words
 are packed two bits per coordinate (bit 0 the F2 part a, bit 1 the v
 part b of a+vb) which keeps every module operation a couple of integer
-masks.
+masks.  WORDS (see dnacodes.lanes) holds the word operations both rings
+share; this module adds theta, the v-multiple and the skew shift.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import codons
 from .cyclic import CampaignResult, LinearCode, RcReport, check_rc_theorem
 from .gf2poly import Gf2Poly, divisors_of_xn_minus_1, split_top_level
+from .lanes import Lanes, spread
 
 # -- scalars -------------------------------------------------------------
 
@@ -213,82 +213,22 @@ def parse_skew_poly(text: str) -> tuple[int, ...]:
 # -- packed words ----------------------------------------------------------
 
 LANE = 2
-
-
-@lru_cache(maxsize=None)
-def full_mask(n: int) -> int:
-    return (1 << (LANE * n)) - 1
-
-
-@lru_cache(maxsize=None)
-def _a_mask(n: int) -> int:
-    m = 0
-    for j in range(n):
-        m |= 1 << (LANE * j)
-    return m
-
-
-@lru_cache(maxsize=None)
-def v_identity_word(n: int) -> int:
-    """The word with every coordinate v: reverse-complement of zero."""
-    return _a_mask(n) << 1
-
-
-def pack_word(coords: Iterable[int], n: int | None = None) -> int:
-    w = 0
-    count = 0
-    for j, c in enumerate(coords):
-        if not 0 <= c <= 3:
-            raise ValueError(f"coordinate {j} out of range: {c}")
-        w |= c << (LANE * j)
-        count += 1
-    if n is not None and count != n:
-        raise ValueError(f"expected {n} coordinates, got {count}")
-    return w
-
-
-def unpack_word(w: int, n: int) -> tuple[int, ...]:
-    return tuple((w >> (LANE * j)) & 3 for j in range(n))
+WORDS = Lanes(LANE, V, _SCALAR_STR)
 
 
 def word_theta(w: int, n: int) -> int:
-    return w ^ ((w >> 1) & _a_mask(n))
+    return w ^ ((w >> 1) & spread(1, n, LANE))
 
 
 def word_scale_v(w: int, n: int) -> int:
-    a = w & _a_mask(n)
-    b = (w >> 1) & _a_mask(n)
+    ones = spread(1, n, LANE)  # the F2 part a of every a+vb
+    a, b = w & ones, (w >> 1) & ones
     return (a ^ b) << 1
 
 
 def skew_shift(w: int, n: int) -> int:
     """(c0,...,c_{n-1}) -> (theta(c_{n-1}), theta(c0), ...)."""
-    rotated = ((w << LANE) | (w >> (LANE * (n - 1)))) & full_mask(n)
-    return word_theta(rotated, n)
-
-
-def word_reverse(w: int, n: int) -> int:
-    out = 0
-    for j in range(n):
-        out |= ((w >> (LANE * j)) & 3) << (LANE * (n - 1 - j))
-    return out
-
-
-def word_hamming_weight(w: int, n: int) -> int:
-    """How many coordinates are nonzero."""
-    return ((w | (w >> 1)) & _a_mask(n)).bit_count()
-
-
-def word_complement(w: int, n: int) -> int:
-    return w ^ v_identity_word(n)
-
-
-def word_reverse_complement(w: int, n: int) -> int:
-    return word_complement(word_reverse(w, n), n)
-
-
-def word_str(w: int, n: int) -> str:
-    return ",".join(_SCALAR_STR[c] for c in unpack_word(w, n))
+    return word_theta(WORDS.word_shift(w, n), n)
 
 
 def word_from_poly(p: Sequence[int], n: int) -> int:
@@ -302,12 +242,12 @@ def word_from_poly(p: Sequence[int], n: int) -> int:
 
 def word_to_dna(w: int, n: int) -> str:
     return "".join(
-        codons.SKEW_BASE_OF_ELEMENT[c] for c in unpack_word(w, n)
+        codons.SKEW_BASE_OF_ELEMENT[c] for c in WORDS.unpack_word(w, n)
     )
 
 
 def dna_to_word(s: str) -> int:
-    return pack_word(
+    return WORDS.pack_word(
         (codons.SKEW_ELEMENT_OF_BASE[b] for b in s), len(s)
     )
 
@@ -317,25 +257,18 @@ def dna_to_word(s: str) -> int:
 
 def gray_image(w: int, n: int) -> int:
     """phi(a+vb) = (a+b, a) per coordinate, giving 2n bits."""
-    a = w & _a_mask(n)
-    b = (w >> 1) & _a_mask(n)
+    ones = spread(1, n, LANE)  # the F2 part a of every a+vb
+    a, b = w & ones, (w >> 1) & ones
     return (a ^ b) | (a << 1)
 
 
 def gray_skew_shift(y: int, n: int) -> int:
     """The map the Gray image inherits from the skew shift: rotate by
     one 2-bit block, then swap the two bits inside every block."""
-    mask = full_mask(n)
-    rotated = ((y << LANE) | (y >> (LANE * (n - 1)))) & mask
-    even = rotated & _a_mask(n)
-    odd = rotated & (_a_mask(n) << 1)
+    rotated = WORDS.word_shift(y, n)
+    even = rotated & spread(1, n, LANE)
+    odd = rotated & spread(2, n, LANE)
     return (even << 1) | (odd >> 1)
-
-
-def plain_shift(y: int, n: int, lanes: int = 1) -> int:
-    mask = full_mask(n)
-    k = LANE * lanes
-    return ((y << k) | (y >> (LANE * n - k))) & mask
 
 
 # -- codes -------------------------------------------------------------------
@@ -371,7 +304,7 @@ class SkewCode(LinearCode):
     Case 2: one generator of each shape, in either order.
     """
 
-    ring = sys.modules[__name__]  # the word operations of this module
+    lanes = WORDS
     to_dna = witness_str = staticmethod(word_to_dna)
     gray_informational = ("plain_shift2",)
 
@@ -448,9 +381,6 @@ class SkewCode(LinearCode):
                     s = skew_shift(s, n)
         return out
 
-    def complement_word(self) -> int:
-        return v_identity_word(self.n)
-
     def generators_self_reciprocal(self) -> bool:
         return all(is_self_reciprocal(g) for g in self.generators)
 
@@ -490,8 +420,8 @@ class SkewCode(LinearCode):
         n = self.n
         return {
             "skew_shift2": lambda y: gray_skew_shift(y, n),
-            "plain_shift4": lambda y: plain_shift(y, n, 2),
-            "plain_shift2": lambda y: plain_shift(y, n),
+            "plain_shift4": lambda y: WORDS.word_shift(y, n, 2),
+            "plain_shift2": lambda y: WORDS.word_shift(y, n),
         }
 
 
@@ -621,24 +551,15 @@ __all__ = [
     "x_pow_n_minus_1",
     "poly_str",
     "parse_skew_poly",
-    "full_mask",
-    "v_identity_word",
-    "pack_word",
-    "unpack_word",
+    "WORDS",
     "word_theta",
     "word_scale_v",
     "skew_shift",
-    "word_reverse",
-    "word_hamming_weight",
-    "word_complement",
-    "word_reverse_complement",
-    "word_str",
     "word_from_poly",
     "word_to_dna",
     "dna_to_word",
     "gray_image",
     "gray_skew_shift",
-    "plain_shift",
     "SkewCodeError",
     "SkewCode",
     "monic_right_divisor_candidates",

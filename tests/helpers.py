@@ -158,13 +158,20 @@ def reference_poly_right_divmod(dividend, divisor):
     return poly_normalize(quot), poly_normalize(rem)
 
 
+def rc_by_tuples(code, w):
+    """The reverse complement of one of the code's packed words, made by
+    coordinate tuples rather than the packed reverse kernel."""
+    lanes = code.lanes
+    coords = reversed(lanes.unpack_word(w, code.n))
+    return lanes.pack_word(c ^ lanes.complement for c in coords)
+
+
 def rc_closed_by_word(code, words):
-    """cyclic.rc_closed_extensional, one reverse complement per word."""
+    """cyclic.rc_closed_extensional, one rc_by_tuples image per word."""
     from dnacodes.cyclic import has_word
 
-    rc, n = code.ring.word_reverse_complement, code.n
     for w in words:
-        if not has_word(words, rc(w, n)):
+        if not has_word(words, rc_by_tuples(code, w)):
             return False, w
     return True, None
 
@@ -227,7 +234,7 @@ def closure_r_words(generators, n):
 
     return bfs_closure(
         generators,
-        lambda w: ring64.word_shift(w, n),
+        lambda w: ring64.WORDS.word_shift(w, n),
         [lambda w: ring64.word_scale_u(w, n)],
     )
 

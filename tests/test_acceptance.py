@@ -64,7 +64,7 @@ def test_criterion_2_enumeration_and_distances():
     t0 = time.perf_counter()
     words = code.words(2**16)
     n = code.n
-    lanes = [ring64.unpack_word(w, n) for w in words]
+    lanes = [ring64.WORDS.unpack_word(w, n) for w in words]
     table = codons.canonical_table()
     symbols = [cyclic.codon_symbols(w, n) for w in words]
     strings = [table.encode_word(w, n) for w in words]
@@ -152,7 +152,7 @@ def test_criterion_3_size_family(capsys):
         code = cyclic.single_generator_code(n, 4, f)
         words = code.words(2**16)
         sizes.append(len(words))
-        dmins.append(metrics.min_nonzero_hamming_weight(words, n))
+        dmins.append(metrics.min_nonzero_hamming_weight(words, n, code.lanes))
         formula_ok &= len(words) == 4 ** (n - f.degree) == code.size()
     elapsed = time.perf_counter() - t0
     notes = "\n".join(rt.regenerate_table2().notes)
@@ -481,13 +481,13 @@ def test_criterion_10_plain_shift_two_counterexample_frozen():
     code = skew.SkewCode.from_case3(2, (skew.V,))
     words = set(code.words(2**8))
     assert words == {
-        skew.pack_word([0, 0]),
-        skew.pack_word([skew.V, 0]),
-        skew.pack_word([0, skew.V1]),
-        skew.pack_word([skew.V, skew.V1]),
+        skew.WORDS.pack_word([0, 0]),
+        skew.WORDS.pack_word([skew.V, 0]),
+        skew.WORDS.pack_word([0, skew.V1]),
+        skew.WORDS.pack_word([skew.V, skew.V1]),
     }
     rep = cyclic.gray_image_report(
-        code.gray_image(words), code.ring.LANE * code.n, code.gray_maps()
+        code.gray_image(words), code.lanes.lane * code.n, code.gray_maps()
     )
     assert rep.bit_length == 4
     assert rep.linear

@@ -158,7 +158,7 @@ def test_words_match_bfs_closure_small():
         gens = []
         for _ in range(rng.choice((1, 2))):
             lanes = [rng.randrange(8) << 3 for _ in range(n)]
-            w = ring64.pack_word(lanes)
+            w = ring64.WORDS.pack_word(lanes)
             if w:
                 gens.append(w)
         if not gens:
@@ -233,7 +233,7 @@ def test_not_rc_closed_reports_witness():
     ext_closed, witness = cyclic.rc_closed_extensional(code, words)
     assert not ext_closed
     assert witness in words
-    assert ring64.word_reverse_complement(witness, 7) not in set(words)
+    assert ring64.WORDS.word_reverse_complement(witness, 7) not in set(words)
     rc = cyclic.rc_report(code)
     assert not rc.sufficiency_satisfied
     assert not rc.complement_word_member
@@ -318,7 +318,7 @@ def test_gray_image_report_linear_and_shift_closed():
     for code in (table3_code(), single_generator_code(7, 4, F1)):
         words = code.words(2**16)
         rep = cyclic.gray_image_report(
-            code.gray_image(words), code.ring.LANE * code.n, code.gray_maps()
+            code.gray_image(words), code.lanes.lane * code.n, code.gray_maps()
         )
         assert rep.linear
         assert rep.closed["shift6"]
@@ -395,7 +395,7 @@ def test_contains_and_spanning_words():
     for w in code.spanning_words():
         assert code.contains(w)
     for w in code.words(2**16):
-        assert code.contains(ring64.word_shift(w, 7))
+        assert code.contains(ring64.WORDS.word_shift(w, 7))
         assert code.contains(ring64.word_scale_u(w, 7))
 
 
@@ -453,7 +453,7 @@ def test_linear_basis_and_closed_under():
     assert cyclic.linear_basis([0, 3, 3, 3]) is None
     # a linear set out of ascending order is not certified
     assert cyclic.linear_basis(words[::-1]) is None
-    shift = lambda w: ring64.word_shift(w, 7)
+    shift = lambda w: ring64.WORDS.word_shift(w, 7)
     assert cyclic.closed_under(words, shift, basis)
     assert cyclic.closed_under(words, shift, None)
     w = words[5]
@@ -471,9 +471,11 @@ def test_linear_basis_and_closed_under():
 def _socle_matches_scan(code):
     words = code.words(2**16)
     d, witness = code.socle_min_hamming()
-    assert d == metrics.min_nonzero_hamming_weight(words, code.n), code
+    assert d == metrics.min_nonzero_hamming_weight(
+        words, code.n, code.lanes
+    ), code
     assert witness in set(words)
-    assert ring64.word_hamming_weight(witness, code.n) == d
+    assert code.lanes.word_hamming_weight(witness, code.n) == d
 
 
 def _divisors_of_xn_minus_1(n):
@@ -564,7 +566,7 @@ def test_rc_witness_is_the_least_violating_word():
         words = code.words(2**16)
         assert isinstance(words, array)
         word_set = set(words)
-        rc = code.ring.word_reverse_complement
+        rc = code.lanes.word_reverse_complement
         violating = [w for w in word_set if rc(w, code.n) not in word_set]
         want = (False, min(violating)) if violating else (True, None)
         assert cyclic.rc_closed_extensional(code, words) == want, code

@@ -450,13 +450,13 @@ def test_min_nonzero_weights_match_pairwise_distance():
         words = sorted(span)
         if len(words) < 2:
             continue
-        wt = metrics.min_nonzero_hamming_weight(words, n)
+        wt = metrics.min_nonzero_hamming_weight(words, n, ring64.WORDS)
         pairwise = metrics.min_pairwise(
-            words, lambda a, b: ring64.word_hamming_weight(a ^ b, n)
+            words, lambda a, b: ring64.WORDS.word_hamming_weight(a ^ b, n)
         )
         assert wt == pairwise.minimum
         lt = metrics.min_nonzero_lee_weight(words, n)
         pairwise_lee = metrics.min_pairwise(
-            words, lambda a, b: ring64.word_lee_weight(a ^ b)
+            words, lambda a, b: ring64.lee_weight(a ^ b)
         )
         assert lt == pairwise_lee.minimum

@@ -212,16 +212,8 @@ def test_word_operations_round_trip():
     for _ in range(150):
         n = rng.choice((2, 4, 6, 8, 10))
         lanes = [rng.randrange(4) for _ in range(n)]
-        w = skew.pack_word(lanes)
-        assert list(skew.unpack_word(w, n)) == lanes
+        w = skew.WORDS.pack_word(lanes)
         assert skew.dna_to_word(skew.word_to_dna(w, n)) == w
-        assert skew.word_reverse(skew.word_reverse(w, n), n) == w
-        assert (
-            skew.word_reverse_complement(
-                skew.word_reverse_complement(w, n), n
-            )
-            == w
-        )
         # n applications of the skew shift give theta^n = identity (n even)
         cur = w
         for _ in range(n):
@@ -234,35 +226,27 @@ def test_word_theta_and_scale():
     for _ in range(100):
         n = rng.choice((2, 4, 6))
         w = rng.randrange(1 << (2 * n))
-        assert list(skew.unpack_word(skew.word_theta(w, n), n)) == [
-            skew.theta(a) for a in skew.unpack_word(w, n)
+        unpack = skew.WORDS.unpack_word
+        assert list(unpack(skew.word_theta(w, n), n)) == [
+            skew.theta(a) for a in unpack(w, n)
         ]
-        assert list(skew.unpack_word(skew.word_scale_v(w, n), n)) == [
-            skew.scalar_mul(V, a) for a in skew.unpack_word(w, n)
+        assert list(unpack(skew.word_scale_v(w, n), n)) == [
+            skew.scalar_mul(V, a) for a in unpack(w, n)
         ]
-
-
-def test_word_hamming_weight():
-    rng = random.Random(707)
-    for _ in range(100):
-        n = rng.choice((2, 4, 10))
-        w = rng.randrange(1 << (2 * n))
-        assert skew.word_hamming_weight(w, n) == sum(
-            1 for a in skew.unpack_word(w, n) if a
-        )
 
 
 def test_dna_letter_map():
-    assert skew.word_to_dna(skew.pack_word([ZERO, ONE, V, V1]), 4) == "GACT"
-    assert skew.v_identity_word(4) == skew.pack_word([V, V, V, V])
+    pack = skew.WORDS.pack_word
+    assert skew.word_to_dna(pack([ZERO, ONE, V, V1]), 4) == "GACT"
+    assert skew.WORDS.complement_word(4) == pack([V, V, V, V])
 
 
 def test_gray_map_values_and_commutation():
     # phi(a + vb) = (a+b, a): images of 0,1,v,v+1 as bit pairs
-    assert skew.gray_image(skew.pack_word([ZERO]), 1) == 0b00
-    assert skew.gray_image(skew.pack_word([ONE]), 1) == 0b11
-    assert skew.gray_image(skew.pack_word([V]), 1) == 0b01
-    assert skew.gray_image(skew.pack_word([V1]), 1) == 0b10
+    assert skew.gray_image(skew.WORDS.pack_word([ZERO]), 1) == 0b00
+    assert skew.gray_image(skew.WORDS.pack_word([ONE]), 1) == 0b11
+    assert skew.gray_image(skew.WORDS.pack_word([V]), 1) == 0b01
+    assert skew.gray_image(skew.WORDS.pack_word([V1]), 1) == 0b10
     rng = random.Random(708)
     for _ in range(200):
         n = rng.choice((2, 4, 6, 8))
@@ -279,12 +263,12 @@ def test_gray_map_values_and_commutation():
         # two skew shifts act as a plain rotation by two coordinates
         assert skew.gray_image(
             skew.skew_shift(skew.skew_shift(w, n), n), n
-        ) == skew.plain_shift(skew.gray_image(w, n), n, lanes=2)
+        ) == skew.WORDS.word_shift(skew.gray_image(w, n), n, lanes=2)
 
 
 def test_case1_code_validation():
     code = SkewCode.from_case1(2, (ONE, ONE))
-    assert sorted(skew.unpack_word(w, 2) for w in code.words(2**8)) == [
+    assert sorted(skew.WORDS.unpack_word(w, 2) for w in code.words(2**8)) == [
         (0, 0),
         (1, 1),
         (2, 2),
