@@ -102,6 +102,45 @@ def test_element_strings():
     assert ring64.from_bitstring("110000") == 3
 
 
+def test_pack_unpack_round_trip():
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        lanes = [rng.randrange(64) for _ in range(n)]
+        w = ring64.WORDS.pack_word(lanes)
+        assert list(ring64.WORDS.unpack_word(w, n)) == lanes
+
+
+def test_word_shift_order_n():
+    rng = random.Random(11)
+    for n in (1, 2, 3, 5, 7):
+        for _ in range(20):
+            w = rng.randrange(1 << (6 * n))
+            cur = w
+            for _ in range(n):
+                cur = ring64.WORDS.word_shift(cur, n)
+            assert cur == w
+            # one shift moves lane i to lane i+1
+            shifted = ring64.WORDS.word_shift(w, n)
+            lanes = list(ring64.WORDS.unpack_word(w, n))
+            expect = [lanes[-1]] + lanes[:-1]
+            assert list(ring64.WORDS.unpack_word(shifted, n)) == expect
+
+
+def test_word_reverse_and_rc_are_involutions():
+    rng = random.Random(12)
+    words = ring64.WORDS
+    for _ in range(100):
+        n = rng.randrange(1, 8)
+        w = rng.randrange(1 << (6 * n))
+        assert words.word_reverse(words.word_reverse(w, n), n) == w
+        assert (
+            words.word_reverse_complement(words.word_reverse_complement(w, n), n)
+            == w
+        )
+        assert words.word_complement(w, n) == w ^ words.full_mask(n)
+
+
 def test_word_scale_matches_lanewise_mul():
     rng = random.Random(13)
     for _ in range(200):
