@@ -356,8 +356,10 @@ def _verify(cfg: JobConfig, report: Report) -> None:
         for key in uses:
             report.emit(key, f"skipped for {len(words)} words; {skip}")
         return
-    to_symbols = code.to_dna if level == "nucleotide" else cyclic.codon_symbols
-    scan = metrics.min_edit_pairwise([to_symbols(w, n) for w in words], costs)
+    items = ("".join(code.dna_texts(words)).splitlines()
+             if level == "nucleotide"
+             else [cyclic.codon_symbols(w, n) for w in words])
+    scan = metrics.min_edit_pairwise(items, costs)
     if edit:
         report.emit(f"min_edit_{level}", scan.minimum)
     if bounds:
@@ -416,11 +418,10 @@ def cmd_export(cfg: JobConfig) -> int:
         return 2
     words = code.words(cfg.guard)
     n = code.n
-    to_text = code.to_dna if cfg.fmt == "fasta" else code.lanes.word_str
-    # streamed a record at a time: no list of texts beside the words
-    texts = (to_text(w, n) for w in words)
-    records = (codons.fasta(texts) if cfg.fmt == "fasta"
-               else (f"{text}\n" for text in texts))
+    # streamed a chunk or a record at a time: no list of texts beside
+    # the words
+    records = (codons.fasta(code.dna_texts(words)) if cfg.fmt == "fasta"
+               else (f"{code.lanes.word_str(w, n)}\n" for w in words))
     if cfg.out:
         with _writing_out(), open(cfg.out, "w") as f:
             f.writelines(records)

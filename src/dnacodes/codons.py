@@ -268,11 +268,19 @@ def verify_dna_set_rc(strings) -> tuple[bool, tuple[str, ...]]:
     return (not witnesses, witnesses)
 
 
-def fasta(records: Iterable[str]) -> Iterator[str]:
-    """The FASTA records ">cw{i}\n{seq}\n" of the sequences, in order,
-    one at a time, so a writer can stream them."""
-    for i, seq in enumerate(records):
-        yield f">cw{i}\n{seq}\n"
+def fasta(texts: Iterable[str]) -> Iterator[str]:
+    """The FASTA records ">cw{i}\n{seq}\n" of the sequences, numbered in
+    order.  Each text holds one sequence or several, one a line (such as
+    a chunk of LinearCode.dna_texts), and gives one string of records,
+    so a writer can stream them a text at a time."""
+    i = 0
+    for text in texts:
+        seqs = text.splitlines()
+        lines = [""] * (2 * len(seqs))
+        lines[0::2] = [f">cw{j}" for j in range(i, i + len(seqs))]
+        lines[1::2] = seqs
+        i += len(seqs)
+        yield "\n".join(lines) + "\n"
 
 
 __all__ = [

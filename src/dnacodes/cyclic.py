@@ -26,7 +26,14 @@ from .gf2poly import (
     factor_xn_minus_1,
     x_pow_n_minus_1,
 )
-from .lanes import Lanes, reverse_lanes
+from .lanes import (
+    _CHUNK,
+    Lanes,
+    chunk_texts,
+    chunks,
+    fits64,
+    reverse_lanes,
+)
 
 DEFAULT_GUARD = 2**20
 
@@ -111,37 +118,39 @@ class Echelon:
         return tuple(self._rows[k] for k in sorted(self._rows, reverse=True))
 
     def span(self, guard: int = DEFAULT_GUARD) -> Sequence[int]:
-        """All 2^dim spanned vectors, ascending (rows added by lead): an
-        array('Q') when they fit in 64 bits, else a list."""
+        """All 2^dim spanned vectors, ascending: index_span of the rows
+        by ascending lead."""
         if 1 << self.dim > guard:
             raise GuardExceeded(
                 f"span has {1 << self.dim} words, above the guard {guard}",
                 1 << self.dim,
             )
-        rows = [row for _, row in sorted(self._rows.items())]
-        if rows and rows[-1] >> 64:
-            out = [0]
-            for row in rows:
-                out += [w ^ row for w in out]
-            return out
-        # allocated once; each doubling step fills the upper half in
-        # place, one chunk (one int XOR) at a time, so no whole-array
-        # copy is made; the view is released so callers can resize it
-        order, packed = sys.byteorder, array("Q", (0,)) * (1 << len(rows))
-        with memoryview(packed) as mv, mv.cast("B") as view:
-            for i, row in enumerate(rows):
-                words = min(1 << i, _CHUNK)
-                half, step = 8 << i, 8 * words  # in bytes
-                mask = int.from_bytes(row.to_bytes(8, order) * words, order)
-                for lo in range(0, half, step):
-                    x = int.from_bytes(view[lo : lo + step], order) ^ mask
-                    view[half + lo : half + lo + step] = x.to_bytes(step, order)
-        return packed
+        return index_span([row for _, row in sorted(self._rows.items())])
 
 
-# words per int operation when Echelon.span fills its array and when
-# rc_closed_extensional makes rc images: a power of two
-_CHUNK = 1 << 12
+def index_span(rows: Sequence[int]) -> Sequence[int]:
+    """The 2^len(rows) XOR combinations of the rows in index order: word
+    i is the XOR of rows[j] over the set bits j of i.  The rows are taken
+    as given, with no reduction, so dependent rows give repeats.  An
+    array('Q') when every row fits in 64 bits, else a list."""
+    if max(rows, default=0) >> 64:
+        out = [0]
+        for row in rows:
+            out += [w ^ row for w in out]
+        return out
+    # allocated once; each doubling step fills the upper half in place,
+    # one chunk (one int XOR) at a time, so no whole-array copy is made;
+    # the view is released so callers can resize it
+    order, packed = sys.byteorder, array("Q", (0,)) * (1 << len(rows))
+    with memoryview(packed) as mv, mv.cast("B") as view:
+        for i, row in enumerate(rows):
+            words = min(1 << i, _CHUNK)
+            half, step = 8 << i, 8 * words  # in bytes
+            mask = int.from_bytes(row.to_bytes(8, order) * words, order)
+            for lo in range(0, half, step):
+                x = int.from_bytes(view[lo : lo + step], order) ^ mask
+                view[half + lo : half + lo + step] = x.to_bytes(step, order)
+    return packed
 
 
 def _xor_packed(words: array, v: int) -> bytes:
@@ -160,38 +169,39 @@ def has_word(words: Sequence[int], w: int) -> bool:
 
 
 def linear_basis(words: Sequence[int]) -> tuple[int, ...] | None:
-    """A basis of the words if they are, in order, the ascending span
-    of an F2-subspace (as LinearCode.words lists it), else None.
+    """The reduced echelon basis of the words if they are, in order, the
+    index_span of k independent rows (so 2^k distinct words making an
+    F2-subspace), else None.
 
-    An ascending list of 2^k distinct words starting at 0 is linear iff
-    it equals, in order, the span of k independent members.  If it is,
-    the words at positions 1, 2, 4, ... are its reduced echelon basis,
-    so those are the members taken.  With the rows by ascending lead,
-    the 2^k span words are compared in 2^(k - k//2) blocks: one word of
-    the span of the last rows XORed with each word of the span of the
-    first k//2, so no list of 2^k words is built.  Packed words compare
-    a block at a time as bytes.
+    Word 2^j of such a list is rows[j], so the rows taken are the
+    members at positions 1, 2, 4, ...: the list is certified iff those
+    are independent and their index_span is the list.  LinearCode.words
+    lists an ascending span, whose members there are its reduced
+    echelon rows; an F2-linear image of it, in the same order, is the
+    index_span of their images.  The 2^k words are compared in
+    2^(k - k//2) blocks: one word of the span of the last rows XORed
+    with each word of the span of the first k//2, so no list of 2^k
+    words is built.  Packed words compare a block at a time as bytes.
     """
     size = len(words)
     if not size or words[0] or size & (size - 1):
         return None
     k = size.bit_length() - 1
-    ech = Echelon(words[1 << j] for j in range(k))
+    rows = [words[1 << j] for j in range(k)]
+    ech = Echelon(rows)
     if ech.dim < k:
         return None
-    basis = ech.basis()
-    rows = basis[::-1]
-    low = Echelon(rows[: k // 2]).span()
+    low = index_span(rows[: k // 2])
     step = len(low)
     packed = isinstance(words, array) and isinstance(low, array)
-    for h, high in enumerate(Echelon(rows[k // 2 :]).span()):
+    for h, high in enumerate(index_span(rows[k // 2 :])):
         block = words[h * step : (h + 1) * step]
         if packed:
             if block.tobytes() != _xor_packed(low, high):
                 return None
         elif list(block) != list(map(high.__xor__, low)):
             return None
-    return basis
+    return ech.basis()
 
 
 def closed_under(
@@ -199,12 +209,16 @@ def closed_under(
     f: Callable[[int], int],
     basis: Sequence[int] | None,
 ) -> bool:
-    """Whether f maps the ascending, repeat-free words into themselves.
-    For an F2-linear f and linear words it is enough that f maps a basis
-    in (pass linear_basis's result); with basis None every word is
-    checked."""
-    checked = words if basis is None else basis
-    return all(has_word(words, f(w)) for w in checked)
+    """Whether f maps the words into themselves.  For an F2-linear f and
+    words certified linear, pass linear_basis's result: the words are
+    then exactly its span, in any order, and it is enough that f maps
+    the basis into that span (Echelon membership).  With basis None the
+    words must be ascending and repeat-free, and every word is checked
+    by binary search."""
+    if basis is None:
+        return all(has_word(words, f(w)) for w in words)
+    span = Echelon(basis)
+    return all(span.contains(f(b)) for b in basis)
 
 
 class LinearCode:
@@ -219,13 +233,15 @@ class LinearCode:
 
     For build-verify each subclass also supplies its ring's facts:
     report_lines, gray_image and gray_maps (maps named in
-    gray_informational are reported, not checked), and to_dna and
-    witness_str, (word, n) -> text functions.
+    gray_informational are reported, not checked), witness_str, a
+    (word, n) -> text function, and dna_symbols, the DNA text of each
+    coordinate value, all of one width.
     """
 
     n: int
     lanes: Lanes
     gray_informational: tuple[str, ...] = ()
+    dna_symbols: Sequence[str]
 
     def spanning_words(self) -> list[int]:
         raise NotImplementedError
@@ -284,6 +300,20 @@ class LinearCode:
         code's enumerated words."""
         return metrics.min_nonzero_hamming_weight(words, self.n, self.lanes)
 
+    def to_dna(self, w: int, n: int) -> str:
+        """One word's DNA string: its coordinates' dna_symbols."""
+        symbols = self.dna_symbols
+        return "".join([symbols[c] for c in self.lanes.unpack_word(w, n)])
+
+    def dna_texts(self, words: Sequence[int]) -> Iterable[str]:
+        """The words' DNA strings, in order, each followed by "\n": one
+        text per chunk of packed words (lanes.chunk_texts), and one per
+        word past 64 bits (to_dna)."""
+        n, lane = self.n, self.lanes.lane
+        if fits64(words, n, lane):
+            return chunk_texts(words, n, lane, self.dna_symbols)
+        return (f"{self.to_dna(w, n)}\n" for w in words)
+
 
 @dataclass(frozen=True)
 class RcReport:
@@ -327,26 +357,23 @@ def rc_closed_extensional(
     ascending; the witness is the least word whose reverse complement
     is not among them, or None if there is none.
 
-    Packed words whose images fit 64 bits are taken _CHUNK at a time:
-    the chunk read as one int gets every image at once, rc(w) =
-    reverse(w) ^ rc(0), by one reverse_lanes call; the images are then
-    looked up in order.
+    Packed words (lanes.fits64) are taken a chunk at a time: the chunk
+    read as one int gets every image at once, rc(w) = reverse(w) ^
+    rc(0), by one reverse_lanes call; the images are then looked up in
+    order.
     """
     n, lanes = code.n, code.lanes
-    if not isinstance(words, array) or lanes.lane * n > 64:
+    if not fits64(words, n, lanes.lane):
         rc = lanes.word_reverse_complement
         for w in words:
             if not has_word(words, rc(w, n)):
                 return False, w
         return True, None
     order, rc0 = sys.byteorder, lanes.complement_word(n)
-    for lo in range(0, len(words), _CHUNK):
-        chunk = words[lo : lo + _CHUNK]
-        size = 8 * len(chunk)  # in bytes
-        ones = int.from_bytes((1).to_bytes(8, order) * len(chunk), order)
-        x = int.from_bytes(chunk, order)
+    for chunk, x, ones in chunks(words):
         images = reverse_lanes(x, n, lanes.lane, ones) ^ rc0 * ones
-        for w, image in zip(chunk, array("Q", images.to_bytes(size, order))):
+        images = array("Q", images.to_bytes(8 * len(chunk), order))
+        for w, image in zip(chunk, images):
             if not has_word(words, image):
                 return False, w
     return True, None
@@ -507,8 +534,8 @@ class CyclicCodeR(LinearCode):
         return {"shift6": lambda w: ring64.WORDS.word_shift(w, n)}
 
     @property
-    def to_dna(self) -> Callable[[int, int], str]:
-        return codons.canonical_table().encode_word
+    def dna_symbols(self) -> tuple[str, ...]:
+        return codons.canonical_table().codon_of_element
 
     @property
     def witness_str(self) -> Callable[[int, int], str]:
@@ -763,8 +790,9 @@ def gray_image_report(
 ) -> GrayImageReport:
     """Whether the image words (distinct, bit_length bits each) form an
     F2-subspace, and whether each of the F2-linear maps sends them into
-    themselves.  The words may come in any order; a sequence already in
-    LinearCode.words order is checked uncopied."""
+    themselves.  The words may come in any order; a sequence that
+    linear_basis certifies as it stands, such as LinearCode.words or a
+    linear image of it in the same order, is checked uncopied."""
     basis = linear_basis(image) if isinstance(image, Sequence) else None
     if basis is None:
         image = sorted(image)
@@ -884,6 +912,7 @@ __all__ = [
     "validate_tower",
     "tower_str",
     "Echelon",
+    "index_span",
     "has_word",
     "linear_basis",
     "closed_under",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Callable, Collection, Hashable, Iterable, Sequence
 
-from .lanes import Lanes
+from .lanes import Lanes, chunks, fits64, low_bytes
 
 GAP = "-"
 
@@ -441,11 +441,25 @@ def min_nonzero_hamming_weight(
 
     For a code closed under addition the minimum pairwise distance
     equals the minimum weight of a nonzero codeword.
+
+    Packed words (lanes.fits64) are weighed a chunk at a time: one
+    nonzero_lanes call marks every nonzero coordinate of the chunk, and
+    the n marks of each word are summed into its low byte (at most 32,
+    so no sum carries); only the zero word has weight 0.
     """
-    best = min(
-        map(lanes.word_hamming_weight, filter(None, words), repeat(n)),
-        default=n + 1,
-    )
+    if not fits64(words, n, lanes.lane):
+        best = min(
+            map(lanes.word_hamming_weight, filter(None, words), repeat(n)),
+            default=n + 1,
+        )
+    else:
+        best = n + 1
+        for chunk, x, ones in chunks(words):
+            marks, weights = lanes.nonzero_lanes(x, n, ones), 0
+            for j in range(n):
+                weights += marks >> lanes.lane * j & ones
+            column = low_bytes(weights, len(chunk)).translate(None, b"\0")
+            best = min(best, min(column, default=best))
     if best > n:
         raise ValueError("no nonzero words")
     return best

@@ -292,10 +292,9 @@ def table3_code() -> "cyclic.CyclicCodeR":
 
 
 def regenerate_table3(guard: int = cyclic.DEFAULT_GUARD) -> TableReport:
-    table = codons.canonical_table()
     code = table3_code()
     words = code.words(guard)
-    strings = [table.encode_word(w, 7) for w in words]
+    strings = "".join(code.dna_texts(words)).splitlines()
     codon_words = [cyclic.codon_symbols(w, 7) for w in words]
     min_edit_codon = metrics.min_pairwise(codon_words, metrics.edit_distance)
     min_edit_nuc = metrics.min_pairwise(strings, metrics.edit_distance)

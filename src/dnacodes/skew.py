@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import codons
 from .cyclic import CampaignResult, LinearCode, RcReport, check_rc_theorem
 from .gf2poly import Gf2Poly, divisors_of_xn_minus_1, split_top_level
-from .lanes import Lanes, spread
+from .lanes import Lanes, fits64, map_chunks, spread
 
 # -- scalars -------------------------------------------------------------
 
@@ -255,10 +255,11 @@ def dna_to_word(s: str) -> int:
 # -- the Gray image ---------------------------------------------------------
 
 
-def gray_image(w: int, n: int) -> int:
-    """phi(a+vb) = (a+b, a) per coordinate, giving 2n bits."""
-    ones = spread(1, n, LANE)  # the F2 part a of every a+vb
-    a, b = w & ones, (w >> 1) & ones
+def gray_image(w: int, n: int, ones: int = 1) -> int:
+    """phi(a+vb) = (a+b, a) per coordinate, giving 2n bits; of k words
+    at once when ones is a chunk's (see lanes.chunks)."""
+    unit = spread(1, n, LANE) * ones  # the F2 part a of every a+vb
+    a, b = w & unit, (w >> 1) & unit
     return (a ^ b) | (a << 1)
 
 
@@ -305,7 +306,8 @@ class SkewCode(LinearCode):
     """
 
     lanes = WORDS
-    to_dna = witness_str = staticmethod(word_to_dna)
+    witness_str = staticmethod(word_to_dna)
+    dna_symbols = tuple(codons.SKEW_BASE_OF_ELEMENT[c] for c in range(4))
     gray_informational = ("plain_shift2",)
 
     def __init__(self, n: int, generators: Sequence[Sequence[int]]):
@@ -409,9 +411,14 @@ class SkewCode(LinearCode):
                     poly_str(g),
                 )
 
-    def gray_image(self, words: Iterable[int]) -> list[int]:
-        """The words' binary Gray images, ascending."""
+    def gray_image(self, words: Iterable[int]) -> Sequence[int]:
+        """The words' binary Gray images: for packed words (lanes.fits64)
+        an array('Q') in the words' own order, mapped a chunk at a time,
+        so the image of LinearCode.words is the index_span of its rows'
+        images; otherwise a sorted list."""
         n = self.n
+        if fits64(words, n, LANE):
+            return map_chunks(words, lambda x, ones: gray_image(x, n, ones))
         return sorted(gray_image(w, n) for w in words)
 
     def gray_maps(self) -> dict[str, Callable[[int], int]]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dnacodes import cli, skew
+from dnacodes import cli, codons, skew
 from dnacodes.cli import JobConfig, UsageError
 from helpers import src_env
 
@@ -325,6 +325,29 @@ def test_export_out_file_holds_the_pinned_stdout(capsys, tmp_path, name, argv):
     assert out_file.read_bytes() == expected
     records = len(expected.splitlines()) // (2 if "fasta" in name else 1)
     assert out == f"written: {out_file} ({records} records)\n"
+
+
+@pytest.mark.parametrize("ring, n, gen", [
+    ("r64", 7, "u^2*(x^3+x+1)"),  # 2^16 words, sixteen chunks
+    ("r64", 10, "u^4*(x^2+1)"),  # lane * n = 60
+    ("r64", 11, "u^5*(x+1)"),  # 66-bit words: a list, word by word
+    ("f2v", 8, "x+1"),
+    ("f2v", 32, "x^24+x^16+x^8+1"),  # lane * n = 64
+], ids=["r64-n7", "r64-n10", "r64-n11-list", "f2v-n8", "f2v-n32"])
+def test_fasta_export_matches_the_per_word_records(capsys, tmp_path, ring, n, gen):
+    # the chunked texts, against codons.fasta of one to_dna text per word
+    out_file = tmp_path / "words.fasta"
+    code, out, err = run(capsys, "export", "--ring", ring, "-n", str(n),
+                         "--gen", gen, "--format", "fasta", "--out", str(out_file))
+    assert (code, err) == (0, "")
+    built = cli.build_code(JobConfig(ring=ring, n=n, gens=(gen,)))
+    words = built.words()
+    assert isinstance(words, list) == (n == 11)
+    encode = (codons.canonical_table().encode_word if ring == "r64"
+              else skew.word_to_dna)
+    want = "".join(codons.fasta(encode(w, n) for w in words))
+    assert out_file.read_bytes() == want.encode()
+    assert out == f"written: {out_file} ({len(words)} records)\n"
 
 
 def test_export_fasta_r64(capsys, tmp_path):

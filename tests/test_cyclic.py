@@ -527,6 +527,14 @@ def _linear_basis_both(words):
     return got
 
 
+def _index_order_span(rows):
+    """Word i is the XOR of rows[j] over the set bits j of i."""
+    out = [0]
+    for row in rows:
+        out += [w ^ row for w in out]
+    return out
+
+
 def test_linear_basis_in_order_certificate():
     rng = random.Random(12)
     for dim in (0, 1, 2, 3, 5, 8, 11):
@@ -538,12 +546,27 @@ def test_linear_basis_in_order_certificate():
             assert _linear_basis_both(words) == ech.basis()
             if len(words) < 4:
                 continue
-            # the same words out of order: not certified
+            # the same words out of order: certified exactly when they
+            # are the index-order span of their members at 1, 2, 4, ...
             shuffled = words[:]
             rng.shuffle(shuffled)
-            assert shuffled == words or _linear_basis_both(shuffled) is None
-            swapped = [words[0], words[2], words[1], *words[3:]]
-            assert _linear_basis_both(swapped) is None
+            members = [shuffled[1 << j] for j in range(ech.dim)]
+            spans = shuffled == _index_order_span(members)
+            assert _linear_basis_both(shuffled) == (
+                ech.basis() if spans else None)
+            # rows 0 and 1 trade places (bits 0 and 1 of every index
+            # swapped; [w0, w2, w1, w3] at dim 2): the index-order span
+            # of the same members, certified with the same basis
+            swapped = [words[i & ~3 | (i & 1) << 1 | i >> 1 & 1]
+                       for i in range(len(words))]
+            rows = [words[1 << j] for j in range(ech.dim)]
+            assert swapped == _index_order_span([rows[1], rows[0], *rows[2:]])
+            assert _linear_basis_both(swapped) == ech.basis()
+            if ech.dim >= 3:
+                # words 5 and 6 trade places: the same set and the same
+                # members at 1, 2, 4, but not their index-order span
+                listing = [*words[:5], words[6], words[5], *words[7:]]
+                assert _linear_basis_both(listing) is None
             # one word replaced by a non-member: not linear
             word_set = set(words)
             outside = next(w for w in range(1 << (lane * 5 + 1))

@@ -1,9 +1,10 @@
 import random
 import sys
+from array import array
 
 import pytest
 
-from dnacodes import lanes, ring64, skew
+from dnacodes import codons, cyclic, lanes, ring64, skew
 
 
 @pytest.mark.parametrize("fits", [True, False], ids=["fits64", "over64"])
@@ -64,3 +65,38 @@ def test_lane_operations_match_tuple_oracles(words, fits):
                 int.from_bytes(out[8 * i : 8 * i + 8], order)
                 for i in range(len(batch))
             ] == [words.word_reverse(x, n) for x in batch]
+
+
+# lane * n = 6, 42, 60 (r64) and 4, 16, 64 (f2v): up to a full 64-bit slot
+_TEXT_CODES = [cyclic.CyclicCodeR(n, ()) for n in (1, 7, 10)] + [
+    skew.SkewCode(n, [(skew.ONE,)]) for n in (2, 8, 32)
+]
+
+
+@pytest.mark.parametrize("code", _TEXT_CODES, ids=lambda c: f"{c.lanes.lane}x{c.n}")
+def test_chunk_texts_match_the_per_word_encoder(code):
+    """LinearCode.dna_texts (lanes.chunk_texts on packed words) against
+    the per-word encoders, on both sides of one and two chunks."""
+    n, lane = code.n, code.lanes.lane
+    encode = (codons.canonical_table().encode_word if lane == 6
+              else skew.word_to_dna)
+    rng = random.Random(lane * n)
+    top = code.lanes.full_mask(n)
+    for size in (1, 4095, 4096, 4097, 8193):
+        words = array("Q", (rng.getrandbits(lane * n) for _ in range(size)))
+        words[0], words[-1] = top, 0  # every lane at its largest, and none
+        texts = list(code.dna_texts(words))
+        assert len(texts) == -(-size // lanes._CHUNK)
+        assert all(text.endswith("\n") for text in texts)
+        assert "".join(texts).splitlines() == [encode(w, n) for w in words]
+        assert [code.to_dna(w, n) for w in words[:64]] == [
+            encode(w, n) for w in words[:64]]
+
+
+def test_dna_texts_of_words_past_64_bits_go_word_by_word():
+    code = cyclic.CyclicCodeR(11, ())  # 66-bit words: Echelon.span gives a list
+    rng = random.Random(11)
+    words = [rng.getrandbits(66) for _ in range(5)]
+    assert not lanes.fits64(words, 11, 6)
+    encode = codons.canonical_table().encode_word
+    assert list(code.dna_texts(words)) == [f"{encode(w, 11)}\n" for w in words]

@@ -1,10 +1,12 @@
 """Skew polynomials and skew cyclic codes over the four-element ring."""
 
+import functools
 import random
+from array import array
 
 import pytest
 
-from dnacodes import cyclic, skew
+from dnacodes import cyclic, metrics, skew
 from dnacodes.gf2poly import Gf2Poly
 from dnacodes.skew import ONE, V, V1, ZERO, SkewCode, SkewCodeError
 from helpers import (
@@ -474,3 +476,43 @@ def test_gray_report_on_linear_sets_that_are_not_shift_closed():
             assert got.linear
             open_sets += not all(got.closed.values())
     assert open_sets >= 15
+
+
+@functools.lru_cache(maxsize=1)
+def _campaign_codes():
+    """(code, words) for every code skew.rc_campaign enumerates."""
+    codes = [code for n in (2, 4, 6, 8, 10) for code in skew.all_codes(n)]
+    return [(code, code.words(2**16)) for code in codes if code.size() <= 2**16]
+
+
+def test_chunked_min_hamming_matches_the_word_scan():
+    codes = _campaign_codes()
+    assert len(codes) == 136
+    for code, words in codes:
+        n, weight = code.n, code.lanes.word_hamming_weight
+        want = min(weight(w, n) for w in words if w)
+        assert isinstance(words, array)
+        assert metrics.min_nonzero_hamming_weight(words, n, code.lanes) == want
+        assert metrics.min_nonzero_hamming_weight(list(words), n, code.lanes) == want
+    for words in ([0], [], array("Q", [0]), array("Q")):
+        with pytest.raises(ValueError):
+            metrics.min_nonzero_hamming_weight(words, 4, skew.WORDS)
+
+
+def test_gray_image_in_word_order_matches_the_sorted_report():
+    # the image in the words' own order is certified as it stands, and
+    # reports as the ascending image does; plain_shift2 is closed exactly
+    # for the codes with a cyclic component
+    cyclic_components = 0
+    for code, words in _campaign_codes():
+        n, maps = code.n, code.gray_maps()
+        image = code.gray_image(words)
+        assert isinstance(image, array)
+        assert list(image) == [skew.gray_image(w, n) for w in words]
+        assert cyclic.linear_basis(image) is not None
+        got = cyclic.gray_image_report(image, 2 * n, maps)
+        want = cyclic.gray_image_report(
+            sorted(skew.gray_image(w, n) for w in words), 2 * n, maps)
+        assert got == want, code
+        cyclic_components += got.closed["plain_shift2"]
+    assert cyclic_components == 42
