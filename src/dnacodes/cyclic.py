@@ -16,7 +16,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import codons, metrics, ring64
@@ -229,7 +229,14 @@ class LinearCode:
     contains that word and is closed under coordinate reversal.
     Subclasses set ``lanes`` to the Lanes of their packed words (lane
     width, complement constant, coordinate text) and define
-    spanning_words and generators_self_reciprocal.
+    module_generators and generators_self_reciprocal.
+
+    The code is the smallest F2-space that holds the generator words
+    and is closed under the two F2-linear maps of module_generators:
+    shift (times x: the cyclic shift for r64, the skew shift for
+    F2+vF2) and scale (times u for r64, times v for F2+vF2).
+    spanning_words walks their orbits and keeps only the words that
+    enlarge the span.
 
     For build-verify each subclass also supplies its ring's facts:
     report_lines, gray_image and gray_maps (maps named in
@@ -243,7 +250,10 @@ class LinearCode:
     gray_informational: tuple[str, ...] = ()
     dna_symbols: Sequence[str]
 
-    def spanning_words(self) -> list[int]:
+    def module_generators(
+        self,
+    ) -> tuple[Iterable[int], Callable[[int], int], Callable[[int], int]]:
+        """(generator words, shift, scale), as in the class docstring."""
         raise NotImplementedError
 
     def complement_word(self) -> int:
@@ -254,8 +264,47 @@ class LinearCode:
         raise NotImplementedError
 
     @cached_property
+    def _orbit_cut(self) -> tuple[Echelon, list[int]]:
+        ech, kept = Echelon(), []
+        gens, shift, scale = self.module_generators()
+        for start in gens:
+            while start and ech.add(start):  # scale can reach 0 (u^6 = 0)
+                kept.append(start)
+                w = shift(start)
+                while ech.add(w):
+                    kept.append(w)
+                    w = shift(w)
+                start = scale(start)
+        return ech, kept
+
+    def spanning_words(self) -> list[int]:
+        """An F2-basis of the code, read off the generators' orbits.
+
+        For each generator word g the starts are g, scale(g),
+        scale(scale(g)), ..., and a start's orbit is its shifts.  The
+        words go to one Echelon in that order and only those it accepts
+        are kept, so there are exactly dim of them.  An orbit stops at
+        its first shift that the Echelon rejects, and a generator's
+        starts stop at the first start that it rejects.
+
+        Nothing is lost.  Let E be the span when an orbit starts at w.
+        E is shift-invariant, as is each finished orbit's span (by
+        induction), so if shift^j(w) lies in E + span(w, ...,
+        shift^(j-1)(w)), applying shift shows that every later shift
+        does too.  If a start scale^m(g) is rejected, E holds it and,
+        being shift-invariant, its whole orbit.  scale(shift^j(w)) lies
+        in the span of shift^j(scale(w)) and shift^j(w) (u commutes
+        with x; v x^j = x^j theta^j(v), and theta^j(v) is v or v + 1),
+        so E is then also closed under scale: a submodule holding g and
+        the earlier generators (an ideal over R, a left module over
+        F2+vF2), which every later start lies in.  Both loops end, as
+        each kept word raises the dimension.
+        """
+        return list(self._orbit_cut[1])
+
+    @cached_property
     def _echelon(self) -> Echelon:
-        return Echelon(self.spanning_words())
+        return self._orbit_cut[0]
 
     @property
     def dim(self) -> int:
@@ -357,26 +406,78 @@ def rc_closed_extensional(
     ascending; the witness is the least word whose reverse complement
     is not among them, or None if there is none.
 
-    Packed words (lanes.fits64) are taken a chunk at a time: the chunk
-    read as one int gets every image at once, rc(w) = reverse(w) ^
-    rc(0), by one reverse_lanes call; the images are then looked up in
-    order.
+    Word 0's image is looked up first, so a code that is not closed
+    under rc(0) = the complement word stops at once.  Then the images
+    come a chunk at a time (_rc_images).  For 2^k packed words a chunk
+    is first tried by index (_found_at_index): if the words are the
+    index span of reduced echelon rows, as LinearCode.words lists them,
+    each image y that is a member sits at the index whose bit j is bit
+    lead_j of y, with lead_j the lead bit of word 2^j.  A chunk whose
+    images all equal the words gathered there is in the code; any other
+    chunk, and every chunk of other lists, is walked in order by binary
+    search (has_word).  So a miss is always confirmed by the search,
+    and the result is the same for any ascending, repeat-free list.
     """
-    n, lanes = code.n, code.lanes
-    if not fits64(words, n, lanes.lane):
-        rc = lanes.word_reverse_complement
-        for w in words:
-            if not has_word(words, rc(w, n)):
-                return False, w
-        return True, None
-    order, rc0 = sys.byteorder, lanes.complement_word(n)
-    for chunk, x, ones in chunks(words):
-        images = reverse_lanes(x, n, lanes.lane, ones) ^ rc0 * ones
-        images = array("Q", images.to_bytes(8 * len(chunk), order))
-        for w, image in zip(chunk, images):
+    n = code.n
+    if words and not has_word(
+        words, code.lanes.word_reverse_complement(words[0], n)
+    ):
+        return False, words[0]
+    size = len(words)
+    fields = None
+    if fits64(words, n, code.lanes.lane) and not size & size - 1:
+        # [lead, j, width]: the width bits from bit lead of an image are
+        # those from bit j of its index (rows j.. have consecutive leads)
+        fields = []
+        for j in range(size.bit_length() - 1):
+            lead = words[1 << j].bit_length() - 1
+            if fields and fields[-1][0] + fields[-1][2] == lead:
+                fields[-1][2] += 1
+            else:
+                fields.append([lead, j, 1])
+    for run, images, ones in _rc_images(code, words):
+        if fields is not None and _found_at_index(words, images, fields, ones):
+            continue
+        for w, image in zip(run, images):
             if not has_word(words, image):
                 return False, w
     return True, None
+
+
+def _rc_images(
+    code: LinearCode, words: Sequence[int]
+) -> Iterator[tuple[Sequence[int], Sequence[int], int]]:
+    """(run, images, ones) over the words in order, in consecutive runs,
+    with images[i] the reverse complement of run[i].  Packed words
+    (lanes.fits64) come a chunk at a time (lanes.chunks, whose ones is
+    given): the chunk read as one int gets every image at once, rc(w) =
+    reverse(w) ^ rc(0), by one reverse_lanes call, and images is an
+    array('Q').  Other words come as one run, their images made one at
+    a time, with ones 0."""
+    n, lanes = code.n, code.lanes
+    if not fits64(words, n, lanes.lane):
+        yield words, map(partial(lanes.word_reverse_complement, n=n), words), 0
+        return
+    order, rc0 = sys.byteorder, lanes.complement_word(n)
+    for chunk, x, ones in chunks(words):
+        y = reverse_lanes(x, n, lanes.lane, ones) ^ rc0 * ones
+        yield chunk, array("Q", y.to_bytes(8 * len(chunk), order)), ones
+
+
+def _found_at_index(
+    words: array, images: array, fields: Sequence[Sequence[int]], ones: int
+) -> bool:
+    """Whether every image of a chunk is the word at its index: for each
+    [lead, j, width] of fields, the width bits from bit j of the index
+    are the image's from bit lead.  The indices of the whole chunk are
+    gathered from its int by one masked shift per field, and the words
+    there are fetched by one map over them."""
+    order = sys.byteorder
+    y, index = int.from_bytes(images, order), 0
+    for lead, j, width in fields:
+        index |= (y >> lead & ones * ((1 << width) - 1)) << j
+    index = array("Q", index.to_bytes(8 * len(images), order))
+    return array("Q", map(words.__getitem__, index)) == images
 
 
 def word_to_levelmajor(w: int, n: int) -> int:
@@ -463,25 +564,14 @@ class CyclicCodeR(LinearCode):
             return f"CyclicCodeR(n={self.n}, {tower_str(self.tower)})"
         return f"CyclicCodeR(n={self.n}, {len(self.generators)} generators)"
 
-    def spanning_words(self) -> list[int]:
-        """An F2-spanning set: every shift of u^m * g for each generator.
-
-        Multiplying a generator by an arbitrary ring-polynomial
-        coefficient decomposes into XORs of these, so their F2-span is
-        the whole ideal.
-        """
-        out = []
+    def module_generators(self):
+        """The generator words, the cyclic shift and the u-multiple."""
         n = self.n
-        for g in self.generators:
-            w = g
-            for _ in range(6):
-                if w:
-                    s = w
-                    for _ in range(n):
-                        out.append(s)
-                        s = ring64.WORDS.word_shift(s, n)
-                w = ring64.word_scale_u(w, n)
-        return out
+        return (
+            self.generators,
+            partial(ring64.WORDS.word_shift, n=n),
+            partial(ring64.word_scale_u, n=n),
+        )
 
     def generators_self_reciprocal(self) -> bool:
         """Every tower polynomial is self-reciprocal."""
@@ -756,11 +846,15 @@ def classify_dna_code(
 ) -> DnaClassification:
     """Classify the code's enumerated words at threshold D, given the
     full all-pairs edit scan of those words (codon or nucleotide) and
-    their rc_closed_extensional result."""
+    their rc_closed_extensional result.  The fixed points are read off
+    the same chunk images as that check's (_rc_images)."""
     n = code.n
     closed, witness = rc_closure
     fixed = tuple(
-        w for w in words if code.lanes.word_reverse_complement(w, n) == w
+        w
+        for run, images, _ in _rc_images(code, words)
+        for w, image in zip(run, images)
+        if w == image
     )
     return DnaClassification(
         n=n,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import codons
@@ -368,20 +369,15 @@ class SkewCode(LinearCode):
         gens = ",".join(poly_str(g) for g in self.generators)
         return f"case{self.case}:<{gens}>"
 
-    def spanning_words(self) -> list[int]:
-        """F2-spanning set: all skew shifts of each generator and of its
-        v-multiple (v+1 = 1 + v needs nothing extra)."""
+    def module_generators(self):
+        """The generator words, the skew shift and the v-multiple (v+1 =
+        1 + v needs nothing extra; v^2 = v, so the starts are w and vw)."""
         n = self.n
-        out = []
-        for g in self.generators:
-            w = word_from_poly(g, n)
-            for base in (w, word_scale_v(w, n)):
-                s = base
-                for _ in range(n):
-                    if s:
-                        out.append(s)
-                    s = skew_shift(s, n)
-        return out
+        return (
+            [word_from_poly(g, n) for g in self.generators],
+            partial(skew_shift, n=n),
+            partial(word_scale_v, n=n),
+        )
 
     def generators_self_reciprocal(self) -> bool:
         return all(is_self_reciprocal(g) for g in self.generators)

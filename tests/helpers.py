@@ -10,17 +10,19 @@ distance DP, the reference for the library's bit-parallel unit-cost kernel
 and its hoisted weighted DP.  reference_gray_report is the Gray image
 report by an Echelon over every word plus a per-word closure loop for
 each named map, the reference for the library's basis certificates.
-subcode_u2_by_spanning builds the u^2 subcode's echelon from every shift
-and u-multiple of its generators, the reference for the library's
-echelon read straight off the level-major rows.  span_by_doubling is
-the span as a list doubled a row at a time, the reference for the
-array Echelon.span fills in place a chunk at a time.
+subcode_u2_by_spanning builds the u^2 subcode's echelon from the shifts
+and u-multiples of its generators, the reference for the library's
+echelon read straight off the level-major rows.  full_orbit_words lists
+every shift of every orbit start of a code, the reference for the
+library's orbit walk, which stops at the first spanned shift.
+span_by_doubling is the span as a list doubled a row at a time, the
+reference for the array Echelon.span fills in place a chunk at a time.
 reference_poly_right_divmod is skew right division on coefficient
 lists, the reference for the library's byte-lane kernel, and
 rc_closed_by_word is the reverse-complement check one word at a time,
-the reference for the library's chunked images.  src_env is the one
-non-oracle helper: the environment for running the package from this
-checkout in a subprocess.
+the reference for the library's chunked images and index lookup.
+src_env is the one non-oracle helper: the environment for running the
+package from this checkout in a subprocess.
 """
 
 import os
@@ -262,6 +264,32 @@ def subcode_u2_by_spanning(code):
         if row < 1 << (4 * n)
     ]
     return cyclic.CyclicCodeR(n, gens)
+
+
+def full_orbit_words(code):
+    """Every shift of every orbit start of a cyclic or skew code, with no
+    stop: each u^m * g for m = 0..5 (r64) or each w and v * w (F2+vF2)
+    of each generator word g or w, shifted n times."""
+    from dnacodes import ring64, skew
+
+    n = code.n
+    if isinstance(code, skew.SkewCode):
+        gens = [skew.word_from_poly(g, n) for g in code.generators]
+        starts = [s for w in gens for s in (w, skew.word_scale_v(w, n))]
+        shift = skew.skew_shift
+    else:
+        starts = []
+        for g in code.generators:
+            for _ in range(6):
+                starts.append(g)
+                g = ring64.word_scale_u(g, n)
+        shift = ring64.WORDS.word_shift
+    out = []
+    for s in starts:
+        for _ in range(n):
+            out.append(s)
+            s = shift(s, n)
+    return out
 
 
 def gray_report_inputs(code, bits):

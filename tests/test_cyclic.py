@@ -18,13 +18,16 @@ from dnacodes.cyclic import (
 from dnacodes.gf2poly import (
     Gf2Poly,
     GuardExceeded,
+    divisors_of_xn_minus_1,
     factor_xn_minus_1,
     x_pow_n_minus_1,
 )
 from helpers import (
     bfs_closure,
     closure_r_words,
+    full_orbit_words,
     gray_report_inputs,
+    rc_by_tuples,
     rc_closed_by_word,
     reference_gray_report,
     span_by_doubling,
@@ -648,3 +651,171 @@ def test_rc_check_of_words_past_64_bits_matches_per_word_check():
         words = code.words()
         assert isinstance(words, array) and list(words) == [0]
         assert cyclic.rc_closed_extensional(code, words) == (False, 0)
+
+
+def _counting_has_word(monkeypatch):
+    """Count cyclic.has_word calls (the rc check's binary searches)."""
+    calls = []
+    search = cyclic.has_word
+
+    def counted(words, w):
+        calls.append(w)
+        return search(words, w)
+
+    monkeypatch.setattr(cyclic, "has_word", counted)
+    return calls
+
+
+def _rc_pair_list(code, size, rng):
+    """size (even) distinct words, ascending, closed under the code's
+    reverse complement: random words, each with its image."""
+    n, rc = code.n, code.lanes.word_reverse_complement
+    out = set()
+    while len(out) < size:
+        w = rng.getrandbits(code.lanes.lane * n)
+        if rc(w, n) != w:
+            out |= {w, rc(w, n)}
+    return array("Q", sorted(out))
+
+
+@pytest.mark.parametrize("code", _CHUNKED_RC_CODES, ids=("r64", "f2v"))
+def test_rc_index_lookup_finds_a_closed_code_without_searching(
+    code, monkeypatch
+):
+    # every chunk of a closed code's words is found by index: the only
+    # binary search is the lookup of word 0's image
+    words = code.words()
+    calls = _counting_has_word(monkeypatch)
+    assert cyclic.rc_closed_extensional(code, words) == (True, None)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("code", _CHUNKED_RC_CODES, ids=("r64", "f2v"))
+def test_rc_index_lookup_keeps_the_per_word_result_on_other_lists(
+    code, monkeypatch
+):
+    # lists that are not the code's index span: the index gather may
+    # miss, and the binary search then decides, as it did word by word
+    rng = random.Random(23)
+    words = code.words()
+    pairs = _rc_pair_list(code, 2**13, rng)
+    assert cyclic.linear_basis(pairs) is None  # closed, but not a span
+    swapped = array("Q", sorted({*pairs[1:], max(pairs) + 1}))
+    listings = {
+        "subset of 2^12": array("Q", sorted(rng.sample(list(words), 4096))),
+        "every third word": words[::3],
+        "no zero, 4096 words": words[1:4097],
+        "no zero": words[1:],
+        "rc pairs": pairs,
+        "rc pairs, one word swapped": swapped,
+    }
+    for size in (4095, 4096, 4097):
+        listings[f"first {size} words"] = words[:size]
+        listings[f"first {size} rc pairs"] = pairs[:size]
+    calls = _counting_has_word(monkeypatch)
+    for label, listing in listings.items():
+        want = rc_closed_by_word(code, listing)
+        del calls[:]
+        assert cyclic.rc_closed_extensional(code, listing) == want, label
+        if label == "rc pairs":
+            # no chunk is found by index: every word is searched
+            assert want == (True, None)
+            assert len(calls) == 1 + len(listing)
+
+
+class _SpanCode(cyclic.LinearCode):
+    """The F2-span of the given r64 words: the identity as shift and 0
+    as scale, so the orbit walk keeps just a basis of the words."""
+
+    lanes = ring64.WORDS
+
+    def __init__(self, n, rows):
+        self.n, self.rows = n, rows
+
+    def module_generators(self):
+        return self.rows, lambda w: w, lambda w: 0
+
+
+def test_rc_witness_in_the_second_chunk_of_a_code(monkeypatch):
+    # n = 7: twelve palindromes on coordinates 1..5 (rc(w) = w ^ rc(0)),
+    # then x^6 (reversed, x^0, not in the code), then rc(0) itself; the
+    # rows ascend by lead, so the first chunk is the palindromes and its
+    # images are found by index, and the least witness is word 4096
+    lane = ring64.WORDS.lane
+    palindromes = [1 << lane * i + b | 1 << lane * (6 - i) + b
+                   for i in (1, 2) for b in range(lane)]
+    rc0 = ring64.WORDS.complement_word(7)
+    code = _SpanCode(7, palindromes + [1 << 6 * lane, rc0])
+    words = code.words()
+    assert len(words) == 2**14
+    want = (False, words[4096])
+    assert rc_closed_by_word(code, words) == want
+    calls = _counting_has_word(monkeypatch)
+    assert cyclic.rc_closed_extensional(code, words) == want
+    assert len(calls) == 2  # word 0's image, then the witness's
+
+
+def _even_and_mixed_r64_codes():
+    """r64 codes off the odd-tower campaign: even-length towers, single
+    generators u^level * f and random words of mixed u-levels."""
+    rng = random.Random(29)
+    codes = []
+    for n in (2, 4, 6, 8, 10):
+        divisors = divisors_of_xn_minus_1(n)
+        for f0 in divisors:
+            below = [f for f in divisors if f.divides(f0)]
+            for _ in range(4):
+                polys = [f0] + [rng.choice(below) for _ in range(5)]
+                codes.append(CyclicCodeR.from_tower(n, polys))
+    for n in (3, 4, 7, 9):
+        for f in divisors_of_xn_minus_1(n):
+            for level in range(6):
+                codes.append(single_generator_code(n, level, f))
+    for n in (3, 4, 7, 12):
+        for count in (1, 2, 3):
+            gens = [rng.getrandbits(6 * n) for _ in range(count)]
+            codes.append(CyclicCodeR(n, gens))
+            # each coordinate u^level times a unit, the level (6: zero)
+            # drawn per coordinate
+            gens = [ring64.WORDS.pack_word(
+                        (rng.getrandbits(6) | 1) << rng.randrange(7) & 63
+                        for _ in range(n)) for _ in range(count)]
+            codes.append(CyclicCodeR(n, gens))
+    return codes
+
+
+def test_orbit_cut_keeps_the_full_orbit_basis():
+    codes = [CyclicCodeR.from_tower(n, polys)
+             for n in (3, 5, 7) for polys in iter_admissible_towers(n)]
+    codes += _even_and_mixed_r64_codes()
+    for code in codes:
+        full = full_orbit_words(code)
+        assert code.basis() == Echelon(full).basis(), code
+        kept = code.spanning_words()
+        # every kept word raises the dimension: at most dim + one word
+        # per orbit start, and in fact exactly dim
+        assert len(kept) == Echelon(kept).dim == code.dim
+        assert len(kept) <= code.dim + 6 * len(code.generators)
+        n = code.n
+        levelmajor = Echelon(cyclic.word_to_levelmajor(w, n) for w in full)
+        assert code.levelmajor_echelon.basis() == levelmajor.basis(), code
+
+
+def test_dna_fixed_points_match_the_per_word_images():
+    # rc(w) = w needs coordinates j and n-1-j complementary, so only even
+    # lengths have fixed points: skew codes and even r64 towers, whose
+    # fixed points come from the chunk images, packed and as lists
+    scan = metrics.min_pairwise(["AC", "GT"], metrics.edit_distance)
+    codes = [code for n in (2, 4, 6, 8) for code in skew.all_codes(n)]
+    codes += [code for code in _even_and_mixed_r64_codes() if code.n % 2 == 0]
+    with_fixed = 0
+    for code in codes:
+        if code.size() > 2**13:
+            continue
+        words = code.words()
+        want = tuple(w for w in words if rc_by_tuples(code, w) == w)
+        for listing in (words, list(words)):
+            cls = cyclic.classify_dna_code(code, listing, 6, scan, (True, None))
+            assert cls.fixed_points == want, code
+        with_fixed += bool(want)
+    assert with_fixed

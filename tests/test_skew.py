@@ -11,6 +11,7 @@ from dnacodes.gf2poly import Gf2Poly
 from dnacodes.skew import ONE, V, V1, ZERO, SkewCode, SkewCodeError
 from helpers import (
     closure_skew_words,
+    full_orbit_words,
     gray_report_inputs,
     reference_gray_report,
     reference_poly_right_divmod,
@@ -327,6 +328,23 @@ def test_enumeration_matches_bfs_closure():
         words = set(code.words(2**14))
         closure = closure_skew_words(code.spanning_words(), code.n)
         assert words == closure
+
+
+def test_orbit_cut_keeps_the_full_orbit_basis():
+    codes = [code for n in range(2, 11, 2) for code in skew.all_codes(n)]
+    for n in (4, 6, 8):  # case 2: one generator of each shape
+        scaled = [code.generators[0] for code in skew.iter_case3_codes(n)]
+        for g in skew.monic_right_divisors(n):
+            codes += [SkewCode(n, [g, f]) for f in scaled]
+    assert {code.case for code in codes} == {1, 2, 3}
+    for code in codes:
+        full = full_orbit_words(code)
+        assert code.basis() == cyclic.Echelon(full).basis(), code
+        kept = code.spanning_words()
+        # every kept word raises the dimension: at most dim + one word
+        # per orbit start, and in fact exactly dim
+        assert len(kept) == cyclic.Echelon(kept).dim == code.dim
+        assert len(kept) <= code.dim + 2 * len(code.generators)
 
 
 def test_words_come_out_ascending():
