@@ -33,6 +33,7 @@ from .lanes import (
     chunks,
     fits64,
     reverse_lanes,
+    spread,
 )
 
 DEFAULT_GUARD = 2**20
@@ -134,31 +135,48 @@ def index_span(rows: Sequence[int]) -> Sequence[int]:
     as given, with no reduction, so dependent rows give repeats.  An
     array('Q') when every row fits in 64 bits, else a list."""
     if max(rows, default=0) >> 64:
-        out = [0]
-        for row in rows:
-            out += [w ^ row for w in out]
-        return out
-    # allocated once; each doubling step fills the upper half in place,
-    # one chunk (one int XOR) at a time, so no whole-array copy is made;
-    # the view is released so callers can resize it
+        return _list_span(rows)
+    # allocated once and written a block (one int) at a time, laid out
+    # by _span_blocks, so no whole-array int or copy is made; the view is
+    # released so callers can resize it
     order, packed = sys.byteorder, array("Q", (0,)) * (1 << len(rows))
+    low_rows, highs = _span_blocks(rows)
+    low, ones = _packed_block(low_rows)
+    step = 8 * len(packed) // len(highs)  # bytes per block
     with memoryview(packed) as mv, mv.cast("B") as view:
-        for i, row in enumerate(rows):
-            words = min(1 << i, _CHUNK)
-            half, step = 8 << i, 8 * words  # in bytes
-            mask = int.from_bytes(row.to_bytes(8, order) * words, order)
-            for lo in range(0, half, step):
-                x = int.from_bytes(view[lo : lo + step], order) ^ mask
-                view[half + lo : half + lo + step] = x.to_bytes(step, order)
+        for h, high in enumerate(highs):
+            block = (low ^ high * ones).to_bytes(step, order)
+            view[h * step : (h + 1) * step] = block
     return packed
 
 
-def _xor_packed(words: array, v: int) -> bytes:
-    """The bytes of array('Q') words, each XORed with v (below 2^64),
-    made by one XOR of whole-array ints rather than a step per word."""
-    order = sys.byteorder
-    mask = int.from_bytes(v.to_bytes(8, order) * len(words), order)
-    return (int.from_bytes(words, order) ^ mask).to_bytes(8 * len(words), order)
+def _list_span(rows: Sequence[int]) -> list[int]:
+    """index_span as a list, by doubling."""
+    out = [0]
+    for row in rows:
+        out += [w ^ row for w in out]
+    return out
+
+
+def _span_blocks(rows: Sequence[int]) -> tuple[Sequence[int], list[int]]:
+    """index_span's layout of its words in blocks of up to _CHUNK, as
+    (low_rows, highs): the first rows (at most 12) and the index span of
+    the others.  Word i of block h is word i of the span of low_rows
+    XOR highs[h]."""
+    b = min(len(rows), _CHUNK.bit_length() - 1)
+    return rows[:b], _list_span(rows[b:])
+
+
+def _packed_block(rows: Sequence[int]) -> tuple[int, int]:
+    """(low, ones): the index span of rows (at most 12, each below 2^64)
+    as one int with word i in bits 64i.., built by doubling, and ones
+    with bit 0 of each of its slots set.  A packed block of a span with
+    these low rows is then low ^ high * ones, since a high below 2^64
+    times ones carries into no other slot."""
+    low = 0
+    for i, row in enumerate(rows):
+        low |= (low ^ row * spread(1, 1 << i, 64)) << (64 << i)
+    return low, spread(1, 1 << len(rows), 64)
 
 
 def has_word(words: Sequence[int], w: int) -> bool:
@@ -178,10 +196,11 @@ def linear_basis(words: Sequence[int]) -> tuple[int, ...] | None:
     are independent and their index_span is the list.  LinearCode.words
     lists an ascending span, whose members there are its reduced
     echelon rows; an F2-linear image of it, in the same order, is the
-    index_span of their images.  The 2^k words are compared in
-    2^(k - k//2) blocks: one word of the span of the last rows XORed
-    with each word of the span of the first k//2, so no list of 2^k
-    words is built.  Packed words compare a block at a time as bytes.
+    index_span of their images.  The words are compared a block of up to
+    _CHUNK at a time, in index_span's layout (_span_blocks), so no list
+    of 2^k words is built: packed words as one int per block, read
+    through a view, against low ^ high * ones; other words against the
+    span of the first rows XORed with each high.
     """
     size = len(words)
     if not size or words[0] or size & (size - 1):
@@ -191,15 +210,19 @@ def linear_basis(words: Sequence[int]) -> tuple[int, ...] | None:
     ech = Echelon(rows)
     if ech.dim < k:
         return None
-    low = index_span(rows[: k // 2])
-    step = len(low)
-    packed = isinstance(words, array) and isinstance(low, array)
-    for h, high in enumerate(index_span(rows[k // 2 :])):
-        block = words[h * step : (h + 1) * step]
-        if packed:
-            if block.tobytes() != _xor_packed(low, high):
-                return None
-        elif list(block) != list(map(high.__xor__, low)):
+    low_rows, highs = _span_blocks(rows)
+    step = size // len(highs)  # words per block
+    if isinstance(words, array):
+        low, ones = _packed_block(low_rows)
+        with memoryview(words) as mv, mv.cast("B") as view:
+            for h, high in enumerate(highs):
+                block = view[8 * h * step : 8 * (h + 1) * step]
+                if int.from_bytes(block, sys.byteorder) != low ^ high * ones:
+                    return None
+        return ech.basis()
+    low = _list_span(low_rows)
+    for h, high in enumerate(highs):
+        if list(words[h * step : (h + 1) * step]) != [w ^ high for w in low]:
             return None
     return ech.basis()
 
@@ -435,8 +458,8 @@ def rc_closed_extensional(
                 fields[-1][2] += 1
             else:
                 fields.append([lead, j, 1])
-    for run, images, ones in _rc_images(code, words):
-        if fields is not None and _found_at_index(words, images, fields, ones):
+    for run, images, y, ones in _rc_images(code, words):
+        if fields is not None and _found_at_index(words, images, y, fields, ones):
             continue
         for w, image in zip(run, images):
             if not has_word(words, image):
@@ -446,34 +469,33 @@ def rc_closed_extensional(
 
 def _rc_images(
     code: LinearCode, words: Sequence[int]
-) -> Iterator[tuple[Sequence[int], Sequence[int], int]]:
-    """(run, images, ones) over the words in order, in consecutive runs,
-    with images[i] the reverse complement of run[i].  Packed words
+) -> Iterator[tuple[Sequence[int], Sequence[int], int, int]]:
+    """(run, images, y, ones) over the words in order, in consecutive
+    runs, with images[i] the reverse complement of run[i].  Packed words
     (lanes.fits64) come a chunk at a time (lanes.chunks, whose ones is
     given): the chunk read as one int gets every image at once, rc(w) =
-    reverse(w) ^ rc(0), by one reverse_lanes call, and images is an
-    array('Q').  Other words come as one run, their images made one at
-    a time, with ones 0."""
+    reverse(w) ^ rc(0), by one reverse_lanes call; y is that int of the
+    images, and images the array('Q') of it.  Other words come as one
+    run, their images made one at a time, with y and ones 0."""
     n, lanes = code.n, code.lanes
     if not fits64(words, n, lanes.lane):
-        yield words, map(partial(lanes.word_reverse_complement, n=n), words), 0
+        yield words, map(partial(lanes.word_reverse_complement, n=n), words), 0, 0
         return
     order, rc0 = sys.byteorder, lanes.complement_word(n)
     for chunk, x, ones in chunks(words):
         y = reverse_lanes(x, n, lanes.lane, ones) ^ rc0 * ones
-        yield chunk, array("Q", y.to_bytes(8 * len(chunk), order)), ones
+        yield chunk, array("Q", y.to_bytes(8 * len(chunk), order)), y, ones
 
 
 def _found_at_index(
-    words: array, images: array, fields: Sequence[Sequence[int]], ones: int
+    words: array, images: array, y: int, fields: Sequence[Sequence[int]], ones: int
 ) -> bool:
     """Whether every image of a chunk is the word at its index: for each
     [lead, j, width] of fields, the width bits from bit j of the index
     are the image's from bit lead.  The indices of the whole chunk are
-    gathered from its int by one masked shift per field, and the words
-    there are fetched by one map over them."""
-    order = sys.byteorder
-    y, index = int.from_bytes(images, order), 0
+    gathered from its images' int y by one masked shift per field, and
+    the words there are fetched by one map over them."""
+    order, index = sys.byteorder, 0
     for lead, j, width in fields:
         index |= (y >> lead & ones * ((1 << width) - 1)) << j
     index = array("Q", index.to_bytes(8 * len(images), order))
@@ -852,7 +874,7 @@ def classify_dna_code(
     closed, witness = rc_closure
     fixed = tuple(
         w
-        for run, images, _ in _rc_images(code, words)
+        for run, images, *_ in _rc_images(code, words)
         for w, image in zip(run, images)
         if w == image
     )

@@ -64,8 +64,7 @@ def chunks(words: array) -> Iterator[tuple[array, int, int]]:
     order: x is the chunk read as one int, word i in bits 64i.., and
     ones has bit 0 of each of its 64-bit slots set, so that value * ones
     is value in every slot."""
-    order = sys.byteorder
-    full = int.from_bytes((1).to_bytes(8, order) * _CHUNK, order)
+    order, full = sys.byteorder, spread(1, _CHUNK, 64)
     for lo in range(0, len(words), _CHUNK):
         chunk = words[lo : lo + _CHUNK]
         k = len(chunk)

@@ -16,7 +16,7 @@ echelon read straight off the level-major rows.  full_orbit_words lists
 every shift of every orbit start of a code, the reference for the
 library's orbit walk, which stops at the first spanned shift.
 span_by_doubling is the span as a list doubled a row at a time, the
-reference for the array Echelon.span fills in place a chunk at a time.
+reference for the array Echelon.span fills in place a block at a time.
 reference_poly_right_divmod is skew right division on coefficient
 lists, the reference for the library's byte-lane kernel, and
 rc_closed_by_word is the reverse-complement check one word at a time,

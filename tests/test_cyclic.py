@@ -83,8 +83,8 @@ def test_echelon_rows_reduced_and_span_ascending(lane):
 
 @pytest.mark.parametrize("bits", [2, 42, 63, 64, 65, 120])
 def test_span_packed_matches_list_doubling(bits):
-    # the span is built by whole-array XOR while every word fits in 64
-    # bits, and by the plain per-word list doubling past that
+    # the span is packed, a block at a time, while every word fits in 64
+    # bits, and built by the plain per-word list doubling past that
     rng = random.Random(bits)
     for _ in range(30):
         ech = Echelon(rng.getrandbits(bits) for _ in range(rng.randrange(9)))
@@ -98,7 +98,7 @@ def test_span_packed_matches_list_doubling(bits):
 
 @pytest.mark.parametrize("top", [15, 40, 63, 64])
 def test_span_matches_doubling_across_chunks(top):
-    # dims 0..15 cross the fill's chunk size; top 63 sets bit 63 of the
+    # dims 0..15 cross the fill's block size; top 63 sets bit 63 of the
     # packed words, and top 64 takes the list path
     assert 1 << 15 > 2 * cyclic._CHUNK
     rng = random.Random(top)
@@ -577,6 +577,70 @@ def test_linear_basis_in_order_certificate():
             for i in {1, 2, len(words) // 2 + 1, len(words) - 1}:
                 listing = sorted(words[:i] + [outside] + words[i + 1 :])
                 assert _linear_basis_both(listing) is None, (dim, lane, i)
+
+
+@pytest.mark.parametrize("k", [0, 1, 11, 12, 13, 14, 17])
+def test_index_span_matches_the_list_path_across_the_block_boundary(k):
+    # the packed fill writes 2^12-word blocks past the low block, so 12
+    # rows fill one block, 13 two and 17 thirty-two; rows use bit 63
+    rng = random.Random(240 + k)
+    rows = [rng.getrandbits(64) for _ in range(k)]
+    if k:
+        rows[-1] |= 1 << 63
+    span = cyclic.index_span(rows)
+    assert isinstance(span, array) and span.typecode == "Q"
+    assert list(span) == _index_order_span(rows)
+    # the same rows through Echelon: its reduced rows, ascending
+    ech = Echelon(rows)
+    assert ech.dim == k
+    span = ech.span()
+    assert list(span) == _index_order_span(ech.basis()[::-1])
+    assert list(span) == sorted(set(span))
+
+
+@pytest.mark.parametrize("k", [3, 12, 13, 14])
+def test_index_span_of_dependent_rows_repeats_as_the_list_path(k):
+    rng = random.Random(250 + k)
+    rows = [rng.getrandbits(64) for _ in range(k - 2)]
+    rows[1:1] = [rows[0] ^ rows[-1]]  # a dependent row in the low block
+    rows.append(rows[0] ^ rows[1])  # and the last, past it from k = 13
+    want = _index_order_span(rows)
+    assert list(cyclic.index_span(rows)) == want
+    assert len(set(want)) == len(want) >> 2
+
+
+def test_linear_basis_rejects_a_change_in_any_block():
+    # a 2^14-word packed span is compared in four 2^12-word blocks
+    rng = random.Random(14)
+    ech = Echelon(rng.getrandbits(64) for _ in range(14))
+    assert ech.dim == 14
+    words = ech.span()
+    assert isinstance(words, array) and len(words) == 1 << 14
+    assert _linear_basis_both(words) == ech.basis()
+
+    def changed(*edits):
+        copy = array("Q", words)
+        for i, w in edits:
+            copy[i] = w
+        return copy
+
+    last = len(words) - 1
+    for listing in (
+        changed((3, words[3] ^ 1 << 63)),  # block 0, not a row
+        changed((9001, words[9001] ^ 1)),  # block 2
+        changed((100, words[5000]), (5000, words[100])),  # blocks 0 and 1
+        changed((last, words[last] ^ 1 << 17)),  # the last word
+    ):
+        assert _linear_basis_both(listing) is None
+    # words past 64 bits take the list path, in the same blocks
+    ech = Echelon(rng.getrandbits(70) for _ in range(13))
+    words = ech.span()
+    assert isinstance(words, list)
+    assert cyclic.linear_basis(words) == ech.basis()
+    for i in (3, len(words) - 1):
+        listing = words[:]
+        listing[i] ^= 1 << 69
+        assert cyclic.linear_basis(listing) is None
 
 
 def test_rc_witness_is_the_least_violating_word():
