@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -363,7 +364,11 @@ def _verify(cfg: JobConfig, report: Report) -> None:
     if edit:
         report.emit(f"min_edit_{level}", scan.minimum)
     if bounds:
-        bound = cyclic.edit_bound_check(code, words)
+        # the bound check's own codon scan, unless the run's scan is it
+        codon_scan = level == "codon" and costs is None
+        bound = cyclic.edit_bound_check(
+            code, words, scan=scan if codon_scan else None
+        )
         report.check(
             "edit_bounds",
             bound.holds,
@@ -503,9 +508,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built at first use: a parse leaves the parser as
+    it was, so every call of main shares one."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](config_from_args(args))
     except (UsageError, GuardExceeded) as e:

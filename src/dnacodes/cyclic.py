@@ -941,27 +941,37 @@ class EditBoundCheck:
 
 
 def edit_bound_check(
-    code: CyclicCodeR, words: Sequence[int], exact: bool = False
+    code: CyclicCodeR,
+    words: Sequence[int],
+    exact: bool = False,
+    scan: metrics.MinResult | None = None,
 ) -> EditBoundCheck:
     """Codon-level minimum edit distance of the code's enumerated words
     against the two structural bounds: min deg(fi) + 1 and n - rank + 1.
 
     By default the pair scan stops as soon as the bounds are certified;
-    pass exact=True to force the full quadratic scan.
+    pass exact=True to force the full quadratic scan, or the full
+    unit-cost scan of the words' codon symbols as scan to read it
+    instead of scanning.  The check holds either way for the same
+    codes: a scan that stops early has met the bounds, which the full
+    minimum, no larger, meets too, and one that never stops is the
+    full scan.
     """
     if code.tower is None:
         raise ValueError("bound check needs a tower description")
-    symbols = [codon_symbols(w, code.n) for w in words]
     min_deg = min(
         f.degree for f in code.tower if f.degree is not None
     )
     bound_deg = min_deg + 1
     bound_single = code.n - code.rank() + 1
     cutoff = None if exact else min(bound_deg, bound_single)
-    lo = metrics.min_edit_pairwise(symbols, upper_bound=cutoff)
+    if scan is None:
+        scan = metrics.min_edit_pairwise(
+            [codon_symbols(w, code.n) for w in words], upper_bound=cutoff
+        )
     return EditBoundCheck(
-        min_edit=lo.minimum,
-        min_edit_exact=lo.exhaustive,
+        min_edit=scan.minimum,
+        min_edit_exact=scan.exhaustive,
         bound_min_degree=bound_deg,
         bound_singleton=bound_single,
     )

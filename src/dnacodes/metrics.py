@@ -10,9 +10,12 @@ import io
 import math
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import Callable, Collection, Hashable, Iterable, Sequence
+from typing import (
+    Callable, Collection, Hashable, Iterable, Iterator, Sequence,
+)
 
 from .lanes import Lanes, chunks, fits64, low_bytes
 
@@ -140,8 +143,8 @@ def _unit_edit_distance(x: Sequence[Hashable], y: Sequence[Hashable]) -> int:
     algorithm (Myers, J. ACM 46(3) 1999; Hyyrö, Nordic J. Computing
     10(1) 2003).  The shorter sequence is the pattern; per symbol of
     the longer one, bit i of pv (mv) marks a +1 (-1) step from row i to
-    row i + 1 of the DP column, and score follows the bottom row.
-    Python ints lift the word-length limit on the pattern."""
+    row i + 1 of the DP column, so the last column's steps give the
+    distance.  Python ints lift the word-length limit on the pattern."""
     if len(x) < len(y):
         x, y = y, x
     m = len(y)
@@ -153,24 +156,19 @@ def _unit_edit_distance(x: Sequence[Hashable], y: Sequence[Hashable]) -> int:
         peq[b] = peq.get(b, 0) | bit
         bit <<= 1
     mask = bit - 1
-    top = bit >> 1
-    pv, mv, score = mask, 0, m
+    pv, mv = mask, 0
     for a in x:
         eq = peq.get(a, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & top:
-            score += 1
-        elif mh & top:
-            score -= 1
         # row 0 of the global DP is 0, 1, 2, ...: shift in a +1
         ph = (ph << 1) | 1
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
+        pv = ((mh << 1) | ~(xv | ph)) & mask
         mv = ph & xv
-    return score
+    # the last column: len(x) in row 0, then its steps down to row m
+    return len(x) + pv.bit_count() - mv.bit_count()
 
 
 def hamming_distance(x: Sequence[Hashable], y: Sequence[Hashable]) -> int:
@@ -232,6 +230,8 @@ def min_pairwise(
 
 # (lane width, array/memoryview format of an unsigned int of that width)
 _LANES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+# pair lanes per block of rows in the packed edit scans
+_BLOCK = 1 << 12
 
 
 def min_edit_pairwise(
@@ -245,100 +245,161 @@ def min_edit_pairwise(
     For items all of one length m >= 1, row i runs items[i] against
     every later item at once, one W-bit lane of an int per later item
     (Hyyrö, Fredriksson & Navarro, ACM J. Exp. Algorithmics 10, 2005),
-    W the least of 8, 16, 32, 64 that leaves each lane a guard bit.
-    With unit costs (m <= 63) the lanes run the bit-vector step of
+    W the least of 8, 16, 32, 64 that leaves each lane a guard bit, and
+    consecutive rows run as one block of up to _BLOCK lanes (see
+    _blocks), so each step acts on every pair of a block.  With unit
+    costs (m <= 63) the lanes run the bit-vector step of
     _unit_edit_distance; with a cost table they run the min-plus DP
-    (see _weighted_rows) when its float sums are exact.  Unequal
+    (see _weighted_blocks) when its float sums are exact.  Unequal
     lengths, m = 0, m >= 64 at unit cost and cost tables whose sums
     may round go pair by pair through min_pairwise.
     """
     k = len(items)
     m = len(items[0]) if items else 0
     if k > 1 and m and all(len(x) == m for x in items):
+        blocks = _blocks(k, upper_bound is not None)
         if costs is None:
             if m < 64:
-                return _scan_rows(_unit_rows(items, m), upper_bound, int)
+                return _scan_blocks(
+                    _unit_blocks(items, m, blocks), upper_bound, int,
+                    _byte_extremes(m),
+                )
         else:
             exact = _scaled_costs(items, m, costs)
             if exact is not None:
                 denominator, scaled, width, fmt = exact
-                return _scan_rows(
-                    _weighted_rows(items, m, scaled, width, fmt),
+                return _scan_blocks(
+                    _weighted_blocks(items, m, scaled, width, fmt, blocks),
                     upper_bound, lambda v: v / denominator,
+                    lambda scores: (min(scores), max(scores)),
                 )
     return min_pairwise(
         items, lambda a, b: edit_distance(a, b, costs), upper_bound
     )
 
 
-def _scan_rows(
-    rows: Iterable[list[int]],
+def _blocks(k: int, bounded: bool) -> Iterator[tuple[range, list[int]]]:
+    """The rows 0..k-2 of a packed scan of k items, as (rows, bounds)
+    for each block of consecutive rows: row i holds the k-1-i lanes of
+    its pairs, and rows[r] the lanes bounds[r]..bounds[r+1]-1 of its
+    block.  A block holds at most _BLOCK lanes, or one longer row.
+    Under an early-exit bound the first block is row 0 alone and the cap
+    doubles per block up to _BLOCK, so a scan that stops in its first
+    rows computes few rows past them."""
+    start, cap = 0, k - 1 if bounded else _BLOCK
+    while start < k - 1:
+        stop, bounds = start + 1, [0, k - 1 - start]
+        while stop < k - 1 and bounds[-1] + k - 1 - stop <= cap:
+            bounds.append(bounds[-1] + k - 1 - stop)
+            stop += 1
+        yield range(start, stop), bounds
+        start, cap = stop, min(2 * cap, _BLOCK)
+
+
+def _scan_blocks(
+    blocks: Iterable[tuple[range, list[int], Sequence[int]]],
     upper_bound: float | None,
     value: Callable[[int], float],
+    extremes: Callable[[Sequence[int]], tuple[int, int]],
 ) -> MinResult:
-    """min_pairwise's bookkeeping, where the i-th row holds the lane
-    values from items[i] to items[i + 1], items[i + 2], ... and value(v)
-    is the distance a lane value stands for (exact and increasing, so
-    lane values compare as the distances do)."""
+    """min_pairwise's bookkeeping, a block of rows at a time: scores
+    holds a block's lane values in row order, the values from items[i]
+    to items[i + 1], items[i + 2], ... for each of its rows i (laid out
+    as _blocks gives them), extremes(scores) is their (min, max), and
+    value(v) the distance a lane value stands for (exact and increasing,
+    so lane values compare as the distances do).  An early exit stops
+    after the row of the first lane whose value meets the bound, and
+    reads the block only up to that row's end."""
     best = top = None
     pair = (0, 1)
     hits = pairs = 0
     stopped = False
-    for i, row in enumerate(rows):
-        low, high = min(row), max(row)
+    for rows, bounds, scores in blocks:
+        low, high = extremes(scores)
+        stop = upper_bound is not None and value(low) <= upper_bound
+        if stop:
+            hit = next(t for t, v in enumerate(scores)
+                       if value(v) <= upper_bound)
+            r = bisect_right(bounds, hit) - 1
+            # rows follow unless this is the last, of one lane
+            stopped = bounds[r + 1] - bounds[r] > 1
+            bounds, scores = bounds[: r + 2], scores[: bounds[r + 1]]
+            low, high = extremes(scores)
         if best is None or low < best:
-            best, pair, hits = low, (i, i + 1 + row.index(low)), row.count(low)
+            t = scores.index(low)
+            r = bisect_right(bounds, t) - 1
+            i = rows[r]
+            best, pair = low, (i, i + 1 + t - bounds[r])
+            hits = scores.count(low)
         elif low == best:
-            hits += row.count(low)
+            hits += scores.count(low)
         if top is None or high > top:
             top = high
-        pairs += len(row)
-        if upper_bound is not None and value(best) <= upper_bound:
-            stopped = len(row) > 1  # rows follow unless this is the last
+        pairs += len(scores)
+        if stop:
             break
     return MinResult(value(best), pair, hits, value(top), not stopped, pairs)
 
 
-def _pack(values: Sequence[int], fmt: str) -> int:
-    """One int whose lane j (of the format's width) holds values[j]."""
+def _byte_extremes(m: int) -> Callable[[bytes], tuple[int, int]]:
+    """(min, max) of a column of byte values in 0..m, by membership
+    tests from either end."""
+    def extremes(column: bytes) -> tuple[int, int]:
+        low = next(v for v in range(m + 1) if v in column)
+        return low, next(v for v in range(m, low - 1, -1) if v in column)
+    return extremes
+
+
+def _column(values: Sequence[int], fmt: str) -> memoryview:
+    """The bytes of one lane of the format's width per value, lane 0
+    first and each lane little-endian, whatever the host's order."""
+    column = array(fmt, values)
     if sys.byteorder == "big":
-        values = values[::-1]
-    return int.from_bytes(array(fmt, values).tobytes(), sys.byteorder)
+        column.byteswap()
+    return memoryview(column.tobytes())
 
 
-def _unpack(packed: int, lanes: int, width: int, fmt: str) -> list[int]:
-    """The first lanes lanes of packed, lane 0 first: in native byte
-    order the cast reads one lane per int, last lane first on a
-    big-endian host."""
-    raw = packed.to_bytes(lanes * width // 8, sys.byteorder)
-    row = memoryview(raw).cast(fmt).tolist()
-    if sys.byteorder == "big":
-        row.reverse()
-    return row
+def _join(column: memoryview, suffixes: list[slice]) -> int:
+    """One block's int of a per-item column: the column's suffix slices
+    for the block's rows (row i's lanes are items i+1..k-1), one after
+    another."""
+    joined = b"".join(map(column.__getitem__, suffixes))
+    return int.from_bytes(joined, "little")
 
 
-def _unit_rows(items: Sequence[Sequence[Hashable]], m: int):
-    """Unit-cost distances, row by row, for 1 <= m <= 63: row i runs
-    items[i] as the text and lane j of each int is the pattern
-    items[i + 1 + j].  Each lane keeps a guard bit for the carry of
-    (eq & pv) + pv, and the masks keep every other bit inside the
-    lane's low m."""
+def _unit_blocks(
+    items: Sequence[Sequence[Hashable]],
+    m: int,
+    blocks: Iterable[tuple[range, list[int]]],
+) -> Iterator[tuple[range, list[int], bytes]]:
+    """Unit-cost distances, a block of rows at a time, for 1 <= m <= 63:
+    row i runs items[i] as the text, and lane j of its part of the block
+    is the pattern items[i + 1 + j].  At each step eq joins each row's
+    slice of the peq column of its own text symbol.  Each lane keeps a
+    guard bit for the carry of (eq & pv) + pv, and the masks keep every
+    other bit inside the lane's low m.  A score is at most m, so each
+    block's scores are the low bytes of its lanes, one bytes column."""
     width, fmt = next(lane for lane in _LANES if lane[0] > m)
-    k = len(items)
-    # peq[a]: bit p of lane j set where items[j][p] == a, built once
-    peq: dict[Hashable, int] = {}
+    size = width // 8
+    # peq[a], lane j: bit p set where items[j][p] == a
+    lanes = {a: array(fmt, bytes(size * len(items)))
+             for a in set().union(*items)}
     for j, item in enumerate(items):
-        for bit, a in enumerate(item, width * j):
-            peq[a] = peq.get(a, 0) | 1 << bit
-    ones_all = ((1 << width * k) - 1) // ((1 << width) - 1)  # bit 0 per lane
-    for i in range(k - 1):
-        shift = width * (i + 1)
-        ones = ones_all >> shift
+        for p, a in enumerate(item):
+            lanes[a][j] |= 1 << p
+    peq = {a: _column(column, fmt) for a, column in lanes.items()}
+    del lanes
+    for rows, bounds in blocks:
+        ones = ((1 << width * bounds[-1]) - 1) // ((1 << width) - 1)
         mask = ones * ((1 << m) - 1)
         top_bits = ones << m - 1
         pv, mv, score = mask, 0, ones * m
-        for a in items[i]:
-            eq = peq[a] >> shift
+        suffixes = [slice(size * (i + 1), None) for i in rows]
+        for read in zip(*[items[i] for i in rows]):
+            eq = int.from_bytes(
+                b"".join([peq[a][s] for a, s in zip(read, suffixes)]),
+                "little",
+            )
             xv = eq | mv
             xh = (((eq & pv) + pv) ^ pv) | eq
             ph = mv | (mask & ~(xh | pv))
@@ -348,7 +409,8 @@ def _unit_rows(items: Sequence[Sequence[Hashable]], m: int):
             ph = (ph << 1) | ones
             pv = ((mh << 1) | ~(xv | ph)) & mask
             mv = ph & xv
-        yield _unpack(score, k - 1 - i, width, fmt)
+        column = score.to_bytes(size * bounds[-1], "little")[::size]
+        yield rows, bounds, column
 
 
 def _scaled_costs(
@@ -377,46 +439,64 @@ def _scaled_costs(
     return denominator, scaled, width, fmt
 
 
-def _weighted_rows(
+def _weighted_blocks(
     items: Sequence[Sequence[Hashable]],
     m: int,
     scaled: dict[tuple[Hashable, Hashable], int],
     width: int,
     fmt: str,
-):
-    """Scaled weighted distances, row by row: row i runs the DP of
-    edit_distance with items[i] as x, and lane j of each cell's int is
-    the cell for y = items[i + 1 + j].  Each cell is the min of
-    diag + sub, up + del and left + ins, by two SWAR minima: the guard
-    bit H of a lane survives (p | H) - q exactly when p >= q, and
-    t - (t >> W-1) widens it to the lane's low bits.  The per-column
-    sub and ins ints are packed once for all items and shifted down to
-    the row's lanes."""
-    k = len(items)
-    symbols = set().union(*items)
+    blocks: Iterable[tuple[range, list[int]]],
+) -> Iterator[tuple[range, list[int], list[int]]]:
+    """Scaled weighted distances, a block of rows at a time: row i runs
+    the DP of edit_distance with items[i] as x, and lane j of its part
+    of each cell's int is the cell for y = items[i + 1 + j].  Each cell
+    is the min of diag + sub, up + del and left + ins, by two SWAR
+    minima: the guard bit H of a lane survives (p | H) - q exactly when
+    p >= q, and t - (t >> W-1) widens it to the lane's low bits.  The
+    per-column sub and ins lanes are packed once for all items, and
+    joined once per block (sub once per symbol of the block's texts).
+    At a step where the rows read one symbol, sub is that symbol's
+    columns; else each symbol's columns give the lanes of the rows that
+    read it, through those rows' lane mask."""
+    size = width // 8
     # column b, lane j: the cost of inserting items[j][b], or of
     # substituting a for it
-    ins_cols = [_pack([scaled[GAP, y[b]] for y in items], fmt)
+    ins_cols = [_column([scaled[GAP, y[b]] for y in items], fmt)
                 for b in range(m)]
     sub_cols = {
-        a: [_pack([scaled[a, y[b]] for y in items], fmt) for b in range(m)]
-        for a in symbols
+        a: [_column([scaled[a, y[b]] for y in items], fmt) for b in range(m)]
+        for a in set().union(*items)
     }
-    first_row = list(accumulate(ins_cols, initial=0))
-    ones_all = _pack([1] * k, fmt)
     w1 = width - 1
-    for i in range(k - 1):
-        shift = width * (i + 1)
-        ones = ones_all >> shift
+    for rows, bounds in blocks:
+        lanes = bounds[-1]
+        ones = ((1 << width * lanes) - 1) // ((1 << width) - 1)
         guard = ones << w1
-        ins = [c >> shift for c in ins_cols]
-        sub_rows: dict[Hashable, list[int]] = {}
-        prev = [c >> shift for c in first_row]
-        for a in items[i]:
-            sub = sub_rows.get(a)
-            if sub is None:
-                sub = sub_rows[a] = [c >> shift for c in sub_cols[a]]
-            dele = ones * scaled[a, GAP]
+        suffixes = [slice(size * (i + 1), None) for i in rows]
+        ins = [_join(c, suffixes) for c in ins_cols]
+        texts = [items[i] for i in rows]
+        subs = {a: [_join(c, suffixes) for c in sub_cols[a]]
+                for a in set().union(*texts)}
+        # each row's lanes as bytes: all clear, all set
+        pieces = [(bytes(size * (hi - lo)), b"\xff" * (size * (hi - lo)))
+                  for lo, hi in zip(bounds, bounds[1:])]
+        prev = list(accumulate(ins, initial=0))
+        for read in zip(*texts):
+            a = read[0]
+            if read.count(a) == len(read):
+                sub, dele = subs[a], ones * scaled[a, GAP]
+            else:
+                masked, dele = [], 0
+                for a in set(read):
+                    mask = int.from_bytes(
+                        b"".join([p[x == a] for x, p in zip(read, pieces)]),
+                        "little",
+                    )
+                    masked.append((mask, subs[a]))
+                    dele += (mask & ones) * scaled[a, GAP]
+                # the masks split the lanes, so their sum is their OR
+                sub = (sum(mask & c[b] for mask, c in masked)
+                       for b in range(m))
             left = prev[0] + dele
             cur = [left]
             for diag, up, s, c in zip(prev, prev[1:], sub, ins):
@@ -430,7 +510,10 @@ def _weighted_rows(
                 cur.append(best)
                 left = best
             prev = cur
-        yield _unpack(prev[-1], k - 1 - i, width, fmt)
+        scores = array(fmt, prev[-1].to_bytes(size * lanes, "little"))
+        if sys.byteorder == "big":
+            scores.byteswap()
+        yield rows, bounds, scores.tolist()
 
 
 def min_nonzero_hamming_weight(

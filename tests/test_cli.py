@@ -630,6 +630,82 @@ def test_user_errors_found_after_parsing_exit_2(capsys, tmp_path):
         assert err == f"error: {message}\n", argv
 
 
+def test_main_parses_with_one_parser_and_keeps_nothing_between_calls(
+    capsys,
+):
+    """main builds its parser at first use and parses every later call
+    with it: an --gen list (an append action), a usage error or an
+    argparse error in one call does not reach the next, and --help reads
+    as from a fresh parser."""
+    assert cli._parser() is cli._parser()
+    r64 = ["build-verify", "--ring", "r64", "-n", "3", "--metric", "hamming"]
+    two_gens = r64 + ["--gen", "u^5*(x+1)", "--gen", "u^5"]
+    code, out, err = run(capsys, *two_gens)
+    assert (code, out) == (2, "")
+    assert err == "error: r64 codes take exactly one --gen (or a --tower)\n"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["factor", "-n", "7", "--bogus"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    code, out, _ = run(capsys, "factor", "-n", "7")
+    assert code == 0 and out.startswith("n: 7\n")
+    code, out, err = run(capsys, *r64, "--gen", "u^5*(x+1)")
+    assert (code, err) == (0, "")
+    assert "verdict: pass" in out.splitlines()
+    for argv in (two_gens, r64 + ["--gen", "u^5*(x+1)"]):
+        assert cli._parser().parse_args(argv) == (
+            cli.build_parser().parse_args(argv)
+        )
+    helps = []
+    for parser in (cli._parser(), cli.build_parser()):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["build-verify", "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "--gen GENS" in helps[0]
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_edit_bounds_read_off_the_codon_scan_as_off_their_own(
+    capsys, monkeypatch, fail
+):
+    """At the codon level without --costs build-verify scans the codon
+    symbols once and the bound check reads that scan; at the nucleotide
+    level the check makes its own early-exit codon scan.  Both report
+    the same check and failure lines, on a code that meets the bounds
+    and, with the singleton bound forced to 1 (rank n), on one that
+    does not."""
+    if fail:
+        monkeypatch.setattr(cli.cyclic.CyclicCodeR, "rank", lambda c: c.n)
+    bounds = []
+    scan = cli.metrics.min_edit_pairwise
+
+    def counted(items, costs=None, upper_bound=None):
+        bounds.append(upper_bound)
+        return scan(items, costs, upper_bound)
+
+    monkeypatch.setattr(cli.metrics, "min_edit_pairwise", counted)
+    lines = {}
+    own = [None, 1 if fail else 5]  # the cutoff: min of the two bounds
+    for level, scans in (("codon", [None]), ("nucleotide", own)):
+        bounds.clear()
+        code, out, _ = run(
+            capsys, "build-verify", "--ring", "r64", "-n", "7",
+            "--gen", "u^4*(x+1)*(x^3+x+1)", "--metric", "edit",
+            "--level", level,
+        )
+        assert code == int(fail)
+        assert bounds == scans
+        lines[level] = [l for l in out.splitlines() if "edit_bounds" in l]
+    assert lines["codon"] == lines["nucleotide"]
+    if fail:
+        assert lines["codon"] == [
+            "check.edit_bounds: FAIL",
+            "failure: edit_bounds: min_edit 2 vs deg-bound 5, singleton 1",
+        ]
+    else:
+        assert lines["codon"] == ["check.edit_bounds: pass"]
+
+
 def test_config_command_line_naming_the_subcommand_replays(capsys, tmp_path):
     job = tmp_path / "job.cfg"
     job.write_text(cli.config_from_args(cli.build_parser().parse_args(

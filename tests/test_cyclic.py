@@ -347,6 +347,31 @@ def test_edit_bound_check_frozen_family():
             assert chk_exact.holds
 
 
+def test_edit_bound_check_reads_a_given_full_scan_as_its_own():
+    """Given the full codon scan of the words, the check holds exactly
+    when it does with its own early-exit scan, and where it fails it
+    reports the same minimum: a scan that never stops is the full scan.
+    The failing list is the code's words greedily picked more than the
+    bound apart."""
+    code = single_generator_code(7, 4, F1)
+    words = code.words()
+    codon = lambda w: cyclic.codon_symbols(w, 7)
+    far = []
+    for w in words:
+        if all(metrics.edit_distance(codon(w), codon(v)) > 4 for v in far):
+            far.append(w)
+    assert len(far) > 2
+    for chosen, holds in ((words, True), (far, False)):
+        full = metrics.min_edit_pairwise([codon(w) for w in chosen])
+        own = cyclic.edit_bound_check(code, chosen)
+        read = cyclic.edit_bound_check(code, chosen, scan=full)
+        assert own.holds == read.holds == holds
+        assert (read.min_edit, read.min_edit_exact) == (full.minimum, True)
+        assert own.min_edit_exact == (not holds)
+        if not holds:
+            assert own == read
+
+
 def test_classify_dna_code_on_table3():
     code = table3_code()
     words = code.words(2**20)

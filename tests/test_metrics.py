@@ -1,7 +1,9 @@
 """Edit distance, Hamming distance, and pairwise-minimum scans."""
 
 import functools
+import math
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -357,6 +359,21 @@ def assert_weighted_scan_matches(items, costs, upper_bounds):
         assert type(got.minimum) is float and type(got.maximum) is float
 
 
+def lane_limit_cost(width, m):
+    """The cost c whose B = (2m + 1)c is the largest below 2^(W-1)
+    (below 2^53 for W = 64): the packed scan of length-m items under
+    uniform_costs(alphabet, c) takes W-bit lanes, at c + 1 the next."""
+    return ((1 << min(width - 1, 53)) - 1) // (2 * m + 1)
+
+
+def uniform_costs(alphabet, cost):
+    """Every entry cost but the diagonal's zeros."""
+    everything = list(alphabet) + ["-"]
+    return EditCostTable({
+        (a, b): float(cost) for a in everything for b in everything if a != b
+    })
+
+
 @pytest.mark.parametrize("width, next_width", [
     (8, 16), (16, 32), (32, 64), (64, None),
 ])
@@ -368,14 +385,10 @@ def test_weighted_packed_scan_at_each_lane_width_limit(width, next_width):
     tuples, with bounds that stop after the first row or never."""
     rng = random.Random(width)
     m = 7
-    c = ((1 << min(width - 1, 53)) - 1) // (2 * m + 1)
+    c = lane_limit_cost(width, m)
     for alphabet in ("ACGT", CODON_ALPHABET):
-        everything = list(alphabet) + ["-"]
         for cost, want in ((c, width), (c + 1, next_width)):
-            costs = EditCostTable({
-                (a, b): float(cost)
-                for a in everything for b in everything if a != b
-            })
+            costs = uniform_costs(alphabet, cost)
             for k in (2, 3, 12):
                 items = random_items(rng, alphabet, m, k)
                 exact = metrics._scaled_costs(items, m, costs)
@@ -418,6 +431,106 @@ def test_weighted_packed_scan_stops_after_the_repeated_pair(alphabet, m):
         assert (got.minimum, got.pair, got.count_at_minimum) == (0.0, (i, j), 1)
         assert got.pairs == sum(k - 1 - r for r in range(i + 1))
         assert_weighted_scan_matches(items, costs, (None, 0, 1.5))
+
+
+# items whose unbounded scan spans at least three blocks of rows
+BLOCK_K = 2 * math.isqrt(metrics._BLOCK) + 2
+
+
+def test_block_layout_covers_every_row_once():
+    """The blocks hold rows 0..k-2 in order, each row's k-1-i lanes, at
+    most _BLOCK lanes a block unless one row is longer; under a bound
+    row 0 is a block of its own."""
+    for k in (2, 3, 12, BLOCK_K, metrics._BLOCK + 3):
+        for bounded in (False, True):
+            blocks = list(metrics._blocks(k, bounded))
+            assert [i for rows, _ in blocks for i in rows] == [*range(k - 1)]
+            for rows, bounds in blocks:
+                assert bounds == [0, *accumulate(k - 1 - i for i in rows)]
+                assert bounds[-1] <= metrics._BLOCK or len(rows) == 1
+            if bounded:
+                assert blocks[0][0] == range(1)
+    assert len(list(metrics._blocks(BLOCK_K, False))) >= 3
+
+
+@pytest.mark.parametrize("m", [7, 8, 33, 63])
+def test_unit_block_scan_matches_the_per_pair_scan(m):
+    """BLOCK_K items at lane widths 8, 16, 64 and 64, unbounded and at
+    bounds that stop in the first block or never: every field against
+    min_pairwise over the DP (over the per-pair bit-vector distance,
+    itself checked against the DP, past m = 8), with a pair repeated
+    across the first block boundary."""
+    rng = random.Random(m)
+    items = random_items(rng, "ACGT", m, BLOCK_K)
+    assert len(items) == BLOCK_K
+    dp = functools.cache(
+        dp_edit_distance if m <= 8 else metrics.edit_distance
+    )
+    assert_packed_scan_matches_dp(items, (None, 0, m // 2), dp)
+    (rows, _), (later, _) = list(metrics._blocks(BLOCK_K, False))[:2]
+    items[later[0] + 1] = items[rows[-1]]
+    assert_packed_scan_matches_dp(items, (None,), dp)
+
+
+@pytest.mark.parametrize("m", [7, 33])
+def test_block_scan_stops_after_the_repeated_pair_in_any_row_of_a_block(m):
+    """At bound 0 the scan stops after the row of a repeated pair: the
+    first, a middle and the last row of a block past the first, and row
+    k - 2, which scans every pair."""
+    rng = random.Random(0xB10C + m)
+    base = random_items(rng, CODON_ALPHABET, m, BLOCK_K)
+    k = len(base)
+    assert k == BLOCK_K
+    dp = functools.cache(
+        dp_edit_distance if m <= 8 else metrics.edit_distance
+    )
+    rows = next(rows for rows, _ in list(metrics._blocks(k, True))[1:]
+                if len(rows) >= 3)
+    for i in (rows[0], rows[len(rows) // 2], rows[-1], k - 2):
+        items = list(base)
+        j = (i + k + 1) // 2
+        items[j] = items[i]
+        got = metrics.min_edit_pairwise(items, upper_bound=0)
+        assert (got.minimum, got.pair, got.count_at_minimum) == (0, (i, j), 1)
+        assert got.pairs == sum(k - 1 - r for r in range(i + 1))
+        assert got.exhaustive == (i == k - 2)
+        assert_packed_scan_matches_dp(items, (None, 0), dp)
+
+
+def test_weighted_block_scan_reading_one_symbol_or_several_per_step():
+    """BLOCK_K items whose first three symbols are one symbol, so that
+    at those steps every row of a block reads it, and at the others
+    several: random dyadic tables, unbounded and with bounds, one with
+    a zero diagonal and a repeated pair in a middle row of a later
+    block, so that bound 0 stops there."""
+    rng = random.Random(0x3B10C)
+    m = 7
+    tail = random_items(rng, "ACGT", m - 3, BLOCK_K)
+    items = ["AAA" + x for x in tail]
+    assert len(items) == BLOCK_K
+    for top in (0.5, 1.5):
+        costs = dyadic_cost_table(rng, "ACGT", top)
+        assert_weighted_scan_matches(items, costs, (None, 0.5, 2.0))
+    rows = list(metrics._blocks(BLOCK_K, True))[3][0]
+    i = rows[len(rows) // 2]
+    items[i + 5] = items[i]
+    zero = EditCostTable({("A", "C"): 0.25, ("G", "-"): 0.75})
+    assert_weighted_scan_matches(items, zero, (None, 0, 0.25))
+    got = metrics.min_edit_pairwise(items, zero, 0)
+    assert (got.minimum, got.pair, got.exhaustive) == (0.0, (i, i + 5), False)
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_weighted_block_scan_at_each_lane_width(width):
+    """The lane-width-limit costs on BLOCK_K items: distances run to
+    about half of each W-bit lane in every block."""
+    rng = random.Random(0x1A7E + width)
+    m = 7
+    cost = lane_limit_cost(width, m)
+    items = random_items(rng, CODON_ALPHABET, m, BLOCK_K)
+    costs = uniform_costs(CODON_ALPHABET, cost)
+    assert metrics._scaled_costs(items, m, costs)[2] == width
+    assert_weighted_scan_matches(items, costs, (None, 0.0, float(cost * 2)))
 
 
 def test_weighted_scan_falls_back_where_float_sums_may_round():
