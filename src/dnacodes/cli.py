@@ -19,7 +19,6 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -91,10 +90,9 @@ OPTIONS = {
 }
 
 
-@dataclass
-class JobConfig:
-    """One command's worth of settings, None where not given; round-trips
-    through key = value text so runs can be replayed from a file."""
+class JobConfig(NamedTuple):
+    """One command's worth of settings, None where not given; read
+    parses them from a --config file's key = value lines."""
 
     command: str | None = None
     ring: str | None = None
@@ -110,25 +108,11 @@ class JobConfig:
     costs: str | None = None
     dna_d: float | None = None
 
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "gens":
-                lines.extend(f"gen = {g}" for g in value or ())
-            elif value is not None:
-                lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "JobConfig":
-        return cls.read(text)[0]
-
     @classmethod
     def read(cls, text: str) -> tuple["JobConfig", dict[str, str]]:
         """The config, and for each field it sets the place that set it:
         'config line N: key' (the first line, for gen)."""
-        known = {f.name for f in fields(cls)}
+        known = set(cls._fields)
         kwargs: dict = {}
         places: dict[str, str] = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -471,23 +455,22 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
     if cfg.command not in (None, args.command):
         raise UsageError(f"{places['command']} = {cfg.command}, "
                          f"but the command is {args.command}")
-    for f in fields(cfg):
-        if (value := getattr(args, f.name)) is not None:
-            setattr(cfg, f.name, tuple(value) if f.name == "gens" else value)
-            places.pop(f.name, None)
+    for name in cfg._fields:
+        if (value := getattr(args, name)) is not None:
+            value = tuple(value) if name == "gens" else value
+            cfg = cfg._replace(**{name: value})
+            places.pop(name, None)
     place = lambda name: places.get(name) or OPTIONS[name].flags[-1]
     command, ring = cfg.command, cfg.ring or OPTIONS["ring"].default
-    for f in fields(cfg):
-        opt = OPTIONS[f.name]
-        if getattr(cfg, f.name) is None:
+    for name in cfg._fields:
+        opt = OPTIONS[name]
+        if getattr(cfg, name) is None:
             if command in opt.commands and opt.ring in (None, ring):
-                setattr(cfg, f.name, opt.default)
+                cfg = cfg._replace(**{name: opt.default})
         elif command not in opt.commands:
-            raise UsageError(f"{place(f.name)} is not used by {command}")
+            raise UsageError(f"{place(name)} is not used by {command}")
         elif opt.ring not in (None, ring):
-            raise UsageError(
-                f"{place(f.name)} is for --ring {opt.ring}, not {ring}"
-            )
+            raise UsageError(f"{place(name)} is for --ring {opt.ring}, not {ring}")
     if cfg.n is not None and cfg.n < 1:
         raise UsageError(f"{place('n')} must be >= 1, got {cfg.n}")
     if cfg.dna_d is not None and not 0 <= cfg.dna_d < math.inf:

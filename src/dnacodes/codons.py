@@ -26,10 +26,9 @@ skew F2+vF2 codes (G, A, C, T <-> 0, 1, v, v+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import ring64
 
@@ -84,16 +83,12 @@ def _codon_distance(a: str, b: str) -> int:
     return sum(x != y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class DiffRow:
+class DiffRow(NamedTuple):
     """One discrepancy between a printed table row and the derived one."""
 
     codon: str
     printed_value: str
     derived_value: str
-
-    def as_csv(self) -> str:
-        return f"{self.codon},{self.printed_value},{self.derived_value}"
 
 
 class CodonTable:

@@ -15,9 +15,8 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import codons, metrics, ring64
 from .gf2poly import (
@@ -387,8 +386,7 @@ class LinearCode:
         return (f"{self.to_dna(w, n)}\n" for w in words)
 
 
-@dataclass(frozen=True)
-class RcReport:
+class RcReport(NamedTuple):
     """The reverse-complement theorem on one code: the sufficient
     condition (complement word in the code plus self-reciprocal
     generators) implies closure, and closure implies it back."""
@@ -408,10 +406,6 @@ class RcReport:
     @property
     def closure_implies_necessity(self) -> bool:
         return self.sufficiency_satisfied or not self.rc_closed
-
-    @property
-    def consistent(self) -> bool:
-        return self.sufficiency_implies_closure and self.closure_implies_necessity
 
 
 def rc_report(code: LinearCode) -> RcReport:
@@ -528,15 +522,13 @@ def levelmajor_to_word(v: int, n: int) -> int:
     return w
 
 
-@dataclass(frozen=True)
-class TorsionLevel:
+class TorsionLevel(NamedTuple):
     level: int
     generator: Gf2Poly
     dim: int
 
 
-@dataclass(frozen=True)
-class TorsionProfile:
+class TorsionProfile(NamedTuple):
     """The six torsion codes of a code, with the derived invariants.
 
     levels[i] describes Tor_i as a binary cyclic code of length n; k[i]
@@ -777,8 +769,7 @@ def iter_admissible_towers(n: int) -> Iterator[tuple[Gf2Poly, ...]]:
 # -- the u^2 subcode ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubcodeU2Report:
+class SubcodeU2Report(NamedTuple):
     """The words of C lying in u^2 R^n, against the single-generator
     claim <u^2 f5>."""
 
@@ -832,8 +823,7 @@ def codon_alphabet_of_ideal(i: int) -> frozenset[str]:
 # -- DNA classification and Gray image ----------------------------------------
 
 
-@dataclass(frozen=True)
-class DnaClassification:
+class DnaClassification(NamedTuple):
     """Does the word set qualify as a DNA code at threshold D: no
     self-reverse-complement word, rc-closure, and max edit <= D."""
 
@@ -889,8 +879,7 @@ def classify_dna_code(
     )
 
 
-@dataclass(frozen=True)
-class GrayImageReport:
+class GrayImageReport(NamedTuple):
     """Linearity of a binary image set, and whether each named map keeps
     it closed."""
 
@@ -923,8 +912,7 @@ def gray_image_report(
 # -- bounds and campaign -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EditBoundCheck:
+class EditBoundCheck(NamedTuple):
     min_edit: float
     min_edit_exact: bool
     bound_min_degree: int
@@ -977,14 +965,13 @@ def edit_bound_check(
     )
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(NamedTuple):
     """What an rc theorem campaign found, summed over its codes."""
 
-    codes_checked: int = 0
-    codes_enumerated: int = 0
-    skipped_over_guard: int = 0
-    violations: list[str] = field(default_factory=list)
+    codes_checked: int
+    codes_enumerated: int
+    skipped_over_guard: int
+    violations: list[str]
 
     @property
     def towers_checked(self) -> int:
@@ -998,25 +985,26 @@ def check_rc_theorem(
     """One theorem instance per (label, code): both implications of
     rc_report, and the closure decided algebraically must agree with the
     enumerated check.  Codes above the guard still get the implications."""
-    result = CampaignResult()
+    checked = enumerated = skipped = 0
+    violations = []
     for label, code in labelled_codes:
-        result.codes_checked += 1
+        checked += 1
         rc = rc_report(code)
         if not rc.sufficiency_implies_closure:
-            result.violations.append(f"{label}: sufficiency but not closed")
+            violations.append(f"{label}: sufficiency but not closed")
         if not rc.closure_implies_necessity:
-            result.violations.append(f"{label}: closed but necessity fails")
+            violations.append(f"{label}: closed but necessity fails")
         if code.size() > guard:
-            result.skipped_over_guard += 1
+            skipped += 1
             continue
-        result.codes_enumerated += 1
+        enumerated += 1
         ext_closed, witness = rc_closed_extensional(code, code.words(guard))
         if ext_closed != rc.rc_closed:
-            result.violations.append(
+            violations.append(
                 f"{label}: algebraic closure {rc.rc_closed} but "
                 f"enumeration says {ext_closed} (witness {witness})"
             )
-    return result
+    return CampaignResult(checked, enumerated, skipped, violations)
 
 
 def rc_theorem_campaign(

@@ -11,10 +11,9 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import (
-    Callable, Collection, Hashable, Iterable, Iterator, Sequence,
+    Callable, Collection, Hashable, Iterable, Iterator, NamedTuple, Sequence,
 )
 
 from .lanes import Lanes, chunks, fits64, low_bytes
@@ -177,8 +176,7 @@ def hamming_distance(x: Sequence[Hashable], y: Sequence[Hashable]) -> int:
     return sum(a != b for a, b in zip(x, y))
 
 
-@dataclass(frozen=True)
-class MinResult:
+class MinResult(NamedTuple):
     """Minimum pairwise distance plus one witnessing pair, and the
     maximum over the pairs scanned.
 

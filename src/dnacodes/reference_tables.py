@@ -16,7 +16,7 @@ ints (bit i = coefficient of u^i).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import codons, cyclic, metrics, ring64, skew
 from .gf2poly import Gf2Poly, factor_xn_minus_1
@@ -179,17 +179,25 @@ def table2_factors() -> dict[str, Gf2Poly]:
 # regeneration reports
 
 
-@dataclass
 class TableReport:
-    """A regenerated table plus its diff against the printed version."""
+    """A regenerated table plus its diff against the printed version;
+    the regenerators fill in rows, diff_rows and notes."""
 
-    which: int
-    headline: str
-    columns: tuple[str, ...]
-    rows: list[tuple[str, ...]] = field(default_factory=list)
-    diff_columns: tuple[str, ...] = ()
-    diff_rows: list[tuple[str, ...]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        which: int,
+        headline: str,
+        columns: tuple[str, ...],
+        diff_columns: tuple[str, ...] = (),
+        notes: Iterable[str] = (),
+    ):
+        self.which = which
+        self.headline = headline
+        self.columns = columns
+        self.rows: list[tuple[str, ...]] = []
+        self.diff_columns = diff_columns
+        self.diff_rows: list[tuple[str, ...]] = []
+        self.notes = list(notes)
 
     def csv(self) -> str:
         out = [",".join(self.columns)]

@@ -12,9 +12,8 @@ share; this module adds theta, the v-multiple and the skew shift.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import codons
 from .cyclic import CampaignResult, LinearCode, RcReport, check_rc_theorem
@@ -498,8 +497,7 @@ def rc_campaign(
 # -- printed-set search --------------------------------------------------------
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     candidates: int
     matches: list[str]
     best_overlap: int

@@ -80,13 +80,6 @@ def test_canonical_table_diff_rows_frozen():
     }
 
 
-def test_diff_row_csv_shape():
-    table = codons.canonical_table()
-    for row in table.diff:
-        parts = row.as_csv().split(",")
-        assert parts[0] == row.codon
-
-
 def test_codon_bits_anchor_values():
     table = codons.canonical_table()
     assert table.codon_bits("GGG") == "000000"

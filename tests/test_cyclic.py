@@ -7,7 +7,7 @@ from array import array
 
 import pytest
 
-from dnacodes import cyclic, metrics, ring64, skew
+from dnacodes import codons, cyclic, metrics, ring64, skew
 from dnacodes.cyclic import (
     CyclicCodeR,
     Echelon,
@@ -908,3 +908,34 @@ def test_dna_fixed_points_match_the_per_word_images():
             assert cls.fixed_points == want, code
         with_fixed += bool(want)
     assert with_fixed
+
+
+# the records that were frozen dataclasses, each with its fields in order
+FROZEN_RECORDS = [
+    (metrics.MinResult, ("minimum", "pair", "count_at_minimum", "maximum",
+                         "exhaustive", "pairs")),
+    (codons.DiffRow, ("codon", "printed_value", "derived_value")),
+    (cyclic.RcReport, ("complement_word_member", "generators_self_reciprocal",
+                       "rc_closed")),
+    (cyclic.TorsionLevel, ("level", "generator", "dim")),
+    (cyclic.TorsionProfile, ("n", "levels", "k", "rank", "log2_size")),
+    (cyclic.SubcodeU2Report, ("subcode_log2_size", "claim_log2_size",
+                              "claim_inside_code", "equal", "f5")),
+    (cyclic.DnaClassification, ("n", "D", "rc_closed", "rc_witness",
+                                "fixed_points", "min_edit", "max_edit")),
+    (cyclic.GrayImageReport, ("bit_length", "linear", "closed")),
+    (cyclic.EditBoundCheck, ("min_edit", "min_edit_exact", "bound_min_degree",
+                             "bound_singleton")),
+]
+
+
+@pytest.mark.parametrize(
+    "record, fields", FROZEN_RECORDS, ids=[r.__name__ for r, _ in FROZEN_RECORDS]
+)
+def test_frozen_records_keep_their_fields_and_refuse_assignment(record, fields):
+    assert record._fields == fields
+    rec = record._make(range(len(fields)))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+    assert tuple(rec) == tuple(range(len(fields)))

@@ -176,3 +176,18 @@ def test_regenerate_dispatcher():
         rt.regenerate(6)
     with pytest.raises(ValueError):
         rt.regenerate(0)
+
+
+def test_table_reports_share_no_lists():
+    notes = ("given",)
+    a = rt.TableReport(1, "a", ("x",), notes=notes)
+    b = rt.TableReport(2, "b", ("x",))
+    a.rows.append(("1",))
+    a.diff_rows.append(("1", "", ""))
+    a.notes.append("added")
+    assert (b.rows, b.diff_rows, b.notes) == ([], [], [])
+    assert a.notes == ["given", "added"] and notes == ("given",)
+    for name in ("rows", "diff_rows", "notes"):
+        assert getattr(a, name) is not getattr(b, name)
+    c = rt.TableReport(3, "c", ("x",))
+    assert c.rows is not b.rows and c.notes is not b.notes

@@ -435,7 +435,6 @@ def test_rc_report_consistency_fields():
     assert rep.sufficiency_satisfied
     assert rep.sufficiency_implies_closure
     assert rep.closure_implies_necessity
-    assert rep.consistent
 
 
 def test_gray_report_plain_shift_two_counterexample():
