@@ -29,9 +29,7 @@ from .lanes import (
     _CHUNK,
     Lanes,
     chunk_texts,
-    chunks,
     fits64,
-    reverse_lanes,
     spread,
 )
 
@@ -424,76 +422,28 @@ def rc_closed_extensional(
     is not among them, or None if there is none.
 
     Word 0's image is looked up first, so a code that is not closed
-    under rc(0) = the complement word stops at once.  Then the images
-    come a chunk at a time (_rc_images).  For 2^k packed words a chunk
-    is first tried by index (_found_at_index): if the words are the
-    index span of reduced echelon rows, as LinearCode.words lists them,
-    each image y that is a member sits at the index whose bit j is bit
-    lead_j of y, with lead_j the lead bit of word 2^j.  A chunk whose
-    images all equal the words gathered there is in the code; any other
-    chunk, and every chunk of other lists, is walked in order by binary
-    search (has_word).  So a miss is always confirmed by the search,
-    and the result is the same for any ascending, repeat-free list.
+    under rc(0) = the complement word stops at once.  A list that
+    linear_basis certifies is then decided from its rows words[2^j]:
+    it holds rc(0), and rc(w) = reverse(w) ^ rc(0) with reverse
+    F2-linear, so the words whose image is a member form a subspace.
+    It holds the words below index 2^j iff it holds rows 0..j-1, so
+    the least witness is the first row whose reverse leaves the span.
+    Other lists are walked word by word by binary search (has_word).
     """
-    n = code.n
-    if words and not has_word(
-        words, code.lanes.word_reverse_complement(words[0], n)
-    ):
-        return False, words[0]
-    size = len(words)
-    fields = None
-    if fits64(words, n, code.lanes.lane) and not size & size - 1:
-        # [lead, j, width]: the width bits from bit lead of an image are
-        # those from bit j of its index (rows j.. have consecutive leads)
-        fields = []
-        for j in range(size.bit_length() - 1):
-            lead = words[1 << j].bit_length() - 1
-            if fields and fields[-1][0] + fields[-1][2] == lead:
-                fields[-1][2] += 1
-            else:
-                fields.append([lead, j, 1])
-    for run, images, y, ones in _rc_images(code, words):
-        if fields is not None and _found_at_index(words, images, y, fields, ones):
-            continue
-        for w, image in zip(run, images):
-            if not has_word(words, image):
-                return False, w
-    return True, None
-
-
-def _rc_images(
-    code: LinearCode, words: Sequence[int]
-) -> Iterator[tuple[Sequence[int], Sequence[int], int, int]]:
-    """(run, images, y, ones) over the words in order, in consecutive
-    runs, with images[i] the reverse complement of run[i].  Packed words
-    (lanes.fits64) come a chunk at a time (lanes.chunks, whose ones is
-    given): the chunk read as one int gets every image at once, rc(w) =
-    reverse(w) ^ rc(0), by one reverse_lanes call; y is that int of the
-    images, and images the array('Q') of it.  Other words come as one
-    run, their images made one at a time, with y and ones 0."""
     n, lanes = code.n, code.lanes
-    if not fits64(words, n, lanes.lane):
-        yield words, map(partial(lanes.word_reverse_complement, n=n), words), 0, 0
-        return
-    order, rc0 = sys.byteorder, lanes.complement_word(n)
-    for chunk, x, ones in chunks(words):
-        y = reverse_lanes(x, n, lanes.lane, ones) ^ rc0 * ones
-        yield chunk, array("Q", y.to_bytes(8 * len(chunk), order)), y, ones
-
-
-def _found_at_index(
-    words: array, images: array, y: int, fields: Sequence[Sequence[int]], ones: int
-) -> bool:
-    """Whether every image of a chunk is the word at its index: for each
-    [lead, j, width] of fields, the width bits from bit j of the index
-    are the image's from bit lead.  The indices of the whole chunk are
-    gathered from its images' int y by one masked shift per field, and
-    the words there are fetched by one map over them."""
-    order, index = sys.byteorder, 0
-    for lead, j, width in fields:
-        index |= (y >> lead & ones * ((1 << width) - 1)) << j
-    index = array("Q", index.to_bytes(8 * len(images), order))
-    return array("Q", map(words.__getitem__, index)) == images
+    if words and not has_word(words, lanes.word_reverse_complement(words[0], n)):
+        return False, words[0]
+    basis = linear_basis(words)
+    if basis is None:
+        for w in words:
+            if not has_word(words, lanes.word_reverse_complement(w, n)):
+                return False, w
+        return True, None
+    span = Echelon(basis)
+    for j in range(len(basis)):
+        if not span.contains(lanes.word_reverse(words[1 << j], n)):
+            return False, words[1 << j]
+    return True, None
 
 
 def word_to_levelmajor(w: int, n: int) -> int:
@@ -812,14 +762,6 @@ def subcode_u2_report(code: CyclicCodeR) -> SubcodeU2Report:
     )
 
 
-def codon_alphabet_of_ideal(i: int) -> frozenset[str]:
-    """The codons of all ring elements divisible by u^i."""
-    if i not in (2, 3, 4):
-        raise ValueError(f"ideal exponent must be 2, 3 or 4, got {i}")
-    table = codons.canonical_table()
-    return frozenset(table.codon(x) for x in ring64.ideal_members(i))
-
-
 # -- DNA classification and Gray image ----------------------------------------
 
 
@@ -858,16 +800,12 @@ def classify_dna_code(
 ) -> DnaClassification:
     """Classify the code's enumerated words at threshold D, given the
     full all-pairs edit scan of those words (codon or nucleotide) and
-    their rc_closed_extensional result.  The fixed points are read off
-    the same chunk images as that check's (_rc_images)."""
-    n = code.n
+    their rc_closed_extensional result.  The edit scan bounds the words
+    (cli.EDIT_SCAN_CEILING), so the fixed points are found one word at a
+    time."""
+    n, rc = code.n, code.lanes.word_reverse_complement
     closed, witness = rc_closure
-    fixed = tuple(
-        w
-        for run, images, *_ in _rc_images(code, words)
-        for w, image in zip(run, images)
-        if w == image
-    )
+    fixed = tuple(w for w in words if rc(w, n) == w)
     return DnaClassification(
         n=n,
         D=D,
@@ -1044,7 +982,6 @@ __all__ = [
     "SubcodeU2Report",
     "subcode_u2",
     "subcode_u2_report",
-    "codon_alphabet_of_ideal",
     "DnaClassification",
     "codon_symbols",
     "classify_dna_code",

@@ -359,26 +359,6 @@ def divisors_of_xn_minus_1(n: int, guard: int = 2**20) -> list[Gf2Poly]:
     return sorted(divisors)
 
 
-def two_power_condition(m: int) -> bool:
-    """True iff 2^i = -1 (mod m) for some i >= 1 (m odd).
-
-    When it holds, every binary cyclotomic coset mod m is closed under
-    negation, hence every divisor of x^m - 1 is self-reciprocal.
-    """
-    if m < 1 or m % 2 == 0:
-        raise ValueError("need odd m >= 1")
-    if m == 1:
-        return True
-    p = 2 % m
-    seen = set()
-    while p not in seen:
-        if p == m - 1:
-            return True
-        seen.add(p)
-        p = (p * 2) % m
-    return False
-
-
 def split_top_level(text: str, sep: str) -> list[str]:
     """Split text at every sep outside parentheses, after dropping
     spaces; unbalanced parentheses are reported against text as given."""
@@ -413,6 +393,5 @@ __all__ = [
     "ones_poly",
     "factor_xn_minus_1",
     "divisors_of_xn_minus_1",
-    "two_power_condition",
     "split_top_level",
 ]

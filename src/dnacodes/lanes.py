@@ -36,16 +36,9 @@ def spread(value: int, n: int, lane: int) -> int:
     return value * (((1 << lane * n) - 1) // ((1 << lane) - 1))
 
 
-def reverse_lanes(x: int, n: int, lane: int, ones: int = 1) -> int:
-    """Reverse the n lanes of a word, or of k words at once.
-
-    For k words packed 64 bits apart in one int (as an array('Q') reads
-    with int.from_bytes), ones has bit 0 of each 64-bit slot set and
-    every word is reversed in place, a lane of all k words per step;
-    lane * n must then be at most 64, so that neither shift carries a
-    lane into the next slot's word within n steps.
-    """
-    lane_mask, out = ((1 << lane) - 1) * ones, 0
+def reverse_lanes(x: int, n: int, lane: int) -> int:
+    """Reverse the n lanes of a word: lane j goes to lane n-1-j."""
+    lane_mask, out = (1 << lane) - 1, 0
     for _ in range(n):
         out = out << lane | x & lane_mask
         x >>= lane
@@ -162,9 +155,6 @@ class Lanes:
     def complement_word(self, n: int) -> int:
         """Every coordinate the complement constant: rc of the zero word."""
         return spread(self.complement, n, self.lane)
-
-    def word_complement(self, w: int, n: int) -> int:
-        return w ^ self.complement_word(n)
 
     def word_reverse_complement(self, w: int, n: int) -> int:
         return reverse_lanes(w, n, self.lane) ^ self.complement_word(n)

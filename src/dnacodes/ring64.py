@@ -105,11 +105,6 @@ def element_str(x: int) -> str:
     return "+".join(terms)
 
 
-def is_unit(x: int) -> bool:
-    # units are exactly the elements with non-zero constant term
-    return bool(x & 1)
-
-
 def ideal_members(i: int) -> frozenset[int]:
     """The ideal u^i R = multiples of u^i, as a set of packed elements."""
     if not 0 <= i <= 6:
@@ -179,7 +174,6 @@ __all__ = [
     "to_bitstring",
     "from_bitstring",
     "element_str",
-    "is_unit",
     "ideal_members",
     "check_element",
     "WORDS",

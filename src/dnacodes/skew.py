@@ -64,11 +64,6 @@ def parse_scalar(text: str) -> int:
         raise ValueError(f"not a scalar of F2+vF2: {text!r}") from None
 
 
-def complement_scalar(x: int) -> int:
-    """The partner with x + x^ = v (the base-complement constant)."""
-    return x ^ V
-
-
 # -- skew polynomials (tuples of scalars, lowest degree first) -------------
 
 
@@ -541,7 +536,6 @@ __all__ = [
     "scalar_mul",
     "scalar_str",
     "parse_scalar",
-    "complement_scalar",
     "poly_normalize",
     "poly_degree",
     "poly_add",

@@ -20,7 +20,7 @@ reference for the array Echelon.span fills in place a block at a time.
 reference_poly_right_divmod is skew right division on coefficient
 lists, the reference for the library's byte-lane kernel, and
 rc_closed_by_word is the reverse-complement check one word at a time,
-the reference for the library's chunked images and index lookup.
+the reference for the library's check from the certified basis.
 src_env is the one non-oracle helper: the environment for running the
 package from this checkout in a subprocess.
 """

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -306,15 +307,6 @@ def test_subcode_u2_basis_matches_the_spanning_construction():
             assert sub.basis() == subcode_u2_by_spanning(code).basis(), code
             checked += 1
     assert checked == 441
-
-
-def test_codon_alphabet_of_ideal_sizes():
-    for i, expect in ((2, 16), (3, 8), (4, 4)):
-        alphabet = cyclic.codon_alphabet_of_ideal(i)
-        assert len(alphabet) == expect
-        assert "GGG" in alphabet
-    with pytest.raises(ValueError):
-        cyclic.codon_alphabet_of_ideal(1)
 
 
 def test_gray_image_report_linear_and_shift_closed():
@@ -768,11 +760,11 @@ def _rc_pair_list(code, size, rng):
 
 
 @pytest.mark.parametrize("code", _CHUNKED_RC_CODES, ids=("r64", "f2v"))
-def test_rc_index_lookup_finds_a_closed_code_without_searching(
+def test_rc_basis_route_decides_a_closed_code_without_searching(
     code, monkeypatch
 ):
-    # every chunk of a closed code's words is found by index: the only
-    # binary search is the lookup of word 0's image
+    # a closed code's words are certified and decided from their rows:
+    # the only binary search is the lookup of word 0's image
     words = code.words()
     calls = _counting_has_word(monkeypatch)
     assert cyclic.rc_closed_extensional(code, words) == (True, None)
@@ -780,11 +772,13 @@ def test_rc_index_lookup_finds_a_closed_code_without_searching(
 
 
 @pytest.mark.parametrize("code", _CHUNKED_RC_CODES, ids=("r64", "f2v"))
-def test_rc_index_lookup_keeps_the_per_word_result_on_other_lists(
+def test_rc_routes_keep_the_per_word_result_on_other_lists(
     code, monkeypatch
 ):
-    # lists that are not the code's index span: the index gather may
-    # miss, and the binary search then decides, as it did word by word
+    # lists other than the code's words: a sub-span (a prefix of 2^k
+    # words) is certified and takes the basis route, with no search past
+    # word 0's image; any other list is walked word by word, searching
+    # up to its witness
     rng = random.Random(23)
     words = code.words()
     pairs = _rc_pair_list(code, 2**13, rng)
@@ -806,10 +800,13 @@ def test_rc_index_lookup_keeps_the_per_word_result_on_other_lists(
         want = rc_closed_by_word(code, listing)
         del calls[:]
         assert cyclic.rc_closed_extensional(code, listing) == want, label
-        if label == "rc pairs":
-            # no chunk is found by index: every word is searched
-            assert want == (True, None)
-            assert len(calls) == 1 + len(listing)
+        if want[1] == listing[0] or cyclic.linear_basis(listing):
+            assert len(calls) == 1, label
+        elif want[0]:
+            assert len(calls) == 1 + len(listing), label
+        else:
+            assert len(calls) == 2 + listing.index(want[1]), label
+    assert cyclic.linear_basis(listings["first 4096 words"])
 
 
 class _SpanCode(cyclic.LinearCode):
@@ -828,8 +825,8 @@ class _SpanCode(cyclic.LinearCode):
 def test_rc_witness_in_the_second_chunk_of_a_code(monkeypatch):
     # n = 7: twelve palindromes on coordinates 1..5 (rc(w) = w ^ rc(0)),
     # then x^6 (reversed, x^0, not in the code), then rc(0) itself; the
-    # rows ascend by lead, so the first chunk is the palindromes and its
-    # images are found by index, and the least witness is word 4096
+    # rows ascend by lead, so the palindromes are rows 0..11 and the
+    # least witness is row 12, word 4096, found from the basis
     lane = ring64.WORDS.lane
     palindromes = [1 << lane * i + b | 1 << lane * (6 - i) + b
                    for i in (1, 2) for b in range(lane)]
@@ -841,7 +838,29 @@ def test_rc_witness_in_the_second_chunk_of_a_code(monkeypatch):
     assert rc_closed_by_word(code, words) == want
     calls = _counting_has_word(monkeypatch)
     assert cyclic.rc_closed_extensional(code, words) == want
-    assert len(calls) == 2  # word 0's image, then the witness's
+    assert len(calls) == 1  # word 0's image; the rows need no search
+
+
+def test_rc_basis_route_witness_is_the_first_row_leaving_the_code():
+    # campaign codes that hold rc(0) but are not rc-closed: their least
+    # witness is not word 0 but a row words[2^j], the first whose reverse
+    # is not in the code (row 3 of two r64 towers, row 0 of the others)
+    codes = [CyclicCodeR.from_tower(n, polys)
+             for n in (3, 5, 7) for polys in iter_admissible_towers(n)]
+    codes += [code for n in (2, 4, 6, 8, 10) for code in skew.all_codes(n)]
+    rows = Counter()
+    for code in codes:
+        if code.size() > 2**16 or code.rc_closed():
+            continue
+        words = code.words(2**16)
+        if not cyclic.has_word(words, code.lanes.complement_word(code.n)):
+            continue
+        closed, witness = cyclic.rc_closed_extensional(code, words)
+        assert (closed, witness) == rc_closed_by_word(code, words), code
+        j = words.index(witness).bit_length() - 1
+        assert witness == words[1 << j], code
+        rows[j] += 1
+    assert rows == {0: 20, 3: 2}  # 22 of the 254 codes that are not closed
 
 
 def _even_and_mixed_r64_codes():
@@ -892,8 +911,8 @@ def test_orbit_cut_keeps_the_full_orbit_basis():
 
 def test_dna_fixed_points_match_the_per_word_images():
     # rc(w) = w needs coordinates j and n-1-j complementary, so only even
-    # lengths have fixed points: skew codes and even r64 towers, whose
-    # fixed points come from the chunk images, packed and as lists
+    # lengths have fixed points: skew codes and even r64 towers, packed
+    # and as lists
     scan = metrics.min_pairwise(["AC", "GT"], metrics.edit_distance)
     codes = [code for n in (2, 4, 6, 8) for code in skew.all_codes(n)]
     codes += [code for code in _even_and_mixed_r64_codes() if code.n % 2 == 0]

@@ -13,7 +13,6 @@ from dnacodes.gf2poly import (
     divisors_of_xn_minus_1,
     factor_xn_minus_1,
     ones_poly,
-    two_power_condition,
     x_pow_n_minus_1,
 )
 from helpers import convolution_mul, trial_division_irreducible
@@ -175,10 +174,3 @@ def test_divisors_guard():
     with pytest.raises(GuardExceeded) as exc:
         divisors_of_xn_minus_1(7, guard=3)
     assert exc.value.size >= 4
-
-
-def test_two_power_condition_small_cases():
-    known_true = {1, 3, 5, 9, 11, 13, 17}
-    known_false = {7, 15, 21, 23}
-    for m in sorted(known_true | known_false):
-        assert two_power_condition(m) == (m in known_true), m
