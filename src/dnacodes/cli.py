@@ -293,8 +293,7 @@ def _verify(cfg: JobConfig, report: Report) -> None:
         return
     words = code.words(cfg.guard)
     report.check("enumerated_size", len(words) == code.size())
-    rc_closure = cyclic.rc_closed_extensional(code, words)
-    ext_closed, witness = rc_closure
+    ext_closed, witness = cyclic.rc_closed_extensional(code, words)
     report.check(
         "rc_extensional_matches_algebraic",
         ext_closed == rc.rc_closed,
@@ -323,7 +322,7 @@ def _verify(cfg: JobConfig, report: Report) -> None:
     if cfg.metric in ("hamming", "all"):
         report.emit("min_hamming", code.min_hamming(words, cfg.guard))
     if r64 and cfg.metric in ("lee", "all"):
-        report.emit("min_lee", metrics.min_nonzero_lee_weight(words, n))
+        report.emit("min_lee", code.min_lee(words, cfg.guard))
     edit = cfg.metric in ("edit", "all")
     bounds = edit and r64
     # the report keys that the one all-pairs edit scan feeds
@@ -361,7 +360,7 @@ def _verify(cfg: JobConfig, report: Report) -> None:
         )
     if cfg.dna_d is not None:
         cls = cyclic.classify_dna_code(
-            code, words, cfg.dna_d, scan, rc_closure
+            code, words, cfg.dna_d, scan, ext_closed
         )
         report.emit("dna_code", cls.is_dna_code)
         report.emit("dna_fixed_points", len(cls.fixed_points))

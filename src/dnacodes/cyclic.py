@@ -176,6 +176,12 @@ def _packed_block(rows: Sequence[int]) -> tuple[int, int]:
     return low, spread(1, 1 << len(rows), 64)
 
 
+def least_weight_word(rows: Iterable[int], guard: int) -> int:
+    """A nonzero word of least popcount in the rows' span, the first in
+    Echelon.span's order.  Raises ValueError if the span is zero."""
+    return min(filter(None, Echelon(rows).span(guard)), key=int.bit_count)
+
+
 def has_word(words: Sequence[int], w: int) -> bool:
     """Whether w is among the ascending, repeat-free words (a binary
     search)."""
@@ -249,7 +255,10 @@ class LinearCode:
     contains that word and is closed under coordinate reversal.
     Subclasses set ``lanes`` to the Lanes of their packed words (lane
     width, complement constant, coordinate text) and define
-    module_generators and generators_self_reciprocal.
+    module_generators, generators_self_reciprocal and
+    min_hamming_witness: (d, w), the least nonzero Hamming weight and a
+    word of it, read off a small binary subcode (the socle for r64, the
+    idempotent components for F2+vF2) with no scan of the words.
 
     The code is the smallest F2-space that holds the generator words
     and is closed under the two F2-linear maps of module_generators:
@@ -364,10 +373,17 @@ class LinearCode:
         """Reverse-complement closure, decided without enumeration."""
         return self.contains_complement_word() and self.reversal_closed()
 
+    def min_hamming_witness(self, guard: int) -> tuple[int, int]:
+        raise NotImplementedError
+
     def min_hamming(self, words: Sequence[int], guard: int) -> int:
-        """The least Hamming weight of a nonzero word, by a scan of the
-        code's enumerated words."""
-        return metrics.min_nonzero_hamming_weight(words, self.n, self.lanes)
+        """min_hamming_witness's minimum, with its witness checked among
+        the code's enumerated words (ascending) and for its weight."""
+        d, witness = self.min_hamming_witness(guard)
+        if (not has_word(words, witness)
+                or self.lanes.word_hamming_weight(witness, self.n) != d):
+            raise RuntimeError(f"minimum {d} has no enumerated witness")
+        return d
 
     def to_dna(self, w: int, n: int) -> str:
         """One word's DNA string: its coordinates' dna_symbols."""
@@ -653,16 +669,19 @@ class CyclicCodeR(LinearCode):
         Raises ValueError for the zero code."""
         n = self.n
         rows = [r for r in self.levelmajor_echelon.basis() if r < 1 << n]
-        v = min(filter(None, Echelon(rows).span(guard)), key=int.bit_count)
+        v = least_weight_word(rows, guard)
         return v.bit_count(), levelmajor_to_word(v, n)
 
-    def min_hamming(self, words: Sequence[int], guard: int) -> int:
-        """socle_min_hamming, with its witness checked among the code's
-        enumerated words."""
-        d, witness = self.socle_min_hamming(guard)
-        if (not has_word(words, witness)
-                or self.lanes.word_hamming_weight(witness, self.n) != d):
-            raise RuntimeError(f"socle minimum {d} has no enumerated witness")
+    min_hamming_witness = socle_min_hamming
+
+    def min_lee(self, words: Sequence[int], guard: int) -> int:
+        """The least Lee weight (popcount) of a nonzero word: min_hamming,
+        with the socle witness's popcount checked to equal it.  A popcount
+        is at least the Hamming weight, and every nonzero coordinate of a
+        socle word is u^5, one bit, so the two minima agree."""
+        d = self.min_hamming(words, guard)
+        if self.socle_min_hamming(guard)[1].bit_count() != d:
+            raise RuntimeError(f"socle minimum {d} is not a Lee minimum")
         return d
 
     def size_formula_odd(self) -> int:
@@ -772,7 +791,6 @@ class DnaClassification(NamedTuple):
     n: int
     D: float
     rc_closed: bool
-    rc_witness: int | None
     fixed_points: tuple[int, ...]
     min_edit: float
     max_edit: float
@@ -796,21 +814,19 @@ def classify_dna_code(
     words: Sequence[int],
     D: float,
     scan: metrics.MinResult,
-    rc_closure: tuple[bool, int | None],
+    rc_closed: bool,
 ) -> DnaClassification:
     """Classify the code's enumerated words at threshold D, given the
     full all-pairs edit scan of those words (codon or nucleotide) and
-    their rc_closed_extensional result.  The edit scan bounds the words
-    (cli.EDIT_SCAN_CEILING), so the fixed points are found one word at a
-    time."""
+    their closure as rc_closed_extensional found it.  The edit scan
+    bounds the words (cli.EDIT_SCAN_CEILING), so the fixed points are
+    found one word at a time."""
     n, rc = code.n, code.lanes.word_reverse_complement
-    closed, witness = rc_closure
     fixed = tuple(w for w in words if rc(w, n) == w)
     return DnaClassification(
         n=n,
         D=D,
-        rc_closed=closed,
-        rc_witness=witness,
+        rc_closed=rc_closed,
         fixed_points=fixed,
         min_edit=scan.minimum,
         max_edit=scan.maximum,
@@ -965,6 +981,7 @@ __all__ = [
     "tower_str",
     "Echelon",
     "index_span",
+    "least_weight_word",
     "has_word",
     "linear_basis",
     "closed_under",

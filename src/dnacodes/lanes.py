@@ -12,8 +12,7 @@ algebra and names its words' `Lanes`.
 Words that fit 64 bits come as an array('Q'), and a pass over all of
 them takes _CHUNK words at a time, read as one int with the words 64
 bits apart (`chunks`), so one int operation acts on every word of the
-chunk; `map_chunks`, `chunk_texts` and `Lanes.nonzero_lanes` are such
-passes.
+chunk; `map_chunks` and `chunk_texts` are such passes.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 # words per int operation in a chunk pass: a power of two
 _CHUNK = 1 << 12
-# where the low byte of each 64-bit slot falls in a chunk's bytes
-_LOW = 0 if sys.byteorder == "little" else 7
 
 
 @lru_cache(maxsize=None)
@@ -65,11 +62,6 @@ def chunks(words: array) -> Iterator[tuple[array, int, int]]:
         yield chunk, int.from_bytes(chunk, order), ones
 
 
-def low_bytes(x: int, k: int) -> bytes:
-    """Byte 0 (bits 0..7) of each of the k words of a chunk int."""
-    return x.to_bytes(8 * k, sys.byteorder)[_LOW::8]
-
-
 def map_chunks(words: array, f: Callable[[int, int], int]) -> array:
     """The words mapped a chunk at a time, in their own order, as an
     array('Q'): f(x, ones) takes a chunk int of chunks() and returns the
@@ -103,7 +95,8 @@ def chunk_texts(
         k, mask = len(chunk), lane_mask * ones
         text = bytearray(b"\n") * (size * k)
         for j in range(n):
-            column = low_bytes(x >> lane * j & mask, k)
+            # byte 0 of every slot
+            column = (x >> lane * j & mask).to_bytes(8 * k, "little")[::8]
             for c, table in enumerate(tables):
                 text[j * width + c :: size] = column.translate(table)
         yield text.decode("ascii")
@@ -159,19 +152,14 @@ class Lanes:
     def word_reverse_complement(self, w: int, n: int) -> int:
         return reverse_lanes(w, n, self.lane) ^ self.complement_word(n)
 
-    def nonzero_lanes(self, w: int, n: int, ones: int = 1) -> int:
-        """Bit 0 of each lane that holds a nonzero coordinate, the rest
-        0; of k words at once when ones is a chunk's (see chunks)."""
+    def word_hamming_weight(self, w: int, n: int) -> int:
+        """Number of nonzero coordinates."""
         # adding the low-bits mask carries into a lane's top bit exactly
         # when its low bits are nonzero, and never past the lane, so ~low
         # (each lane's top bit; the sum has nothing above the word) keeps
         # one bit per nonzero coordinate
-        low = spread(self.mask >> 1, n, self.lane) * ones
-        return (((w & low) + low | w) & ~low) >> self.lane - 1
-
-    def word_hamming_weight(self, w: int, n: int) -> int:
-        """Number of nonzero coordinates."""
-        return self.nonzero_lanes(w, n).bit_count()
+        low = spread(self.mask >> 1, n, self.lane)
+        return (((w & low) + low | w) & ~low).bit_count()
 
     def word_str(self, w: int, n: int) -> str:
         return ",".join(self.symbols[c] for c in self.unpack_word(w, n))
@@ -182,7 +170,6 @@ __all__ = [
     "reverse_lanes",
     "fits64",
     "chunks",
-    "low_bytes",
     "map_chunks",
     "chunk_texts",
     "Lanes",

@@ -16,7 +16,7 @@ from typing import (
     Callable, Collection, Hashable, Iterable, Iterator, NamedTuple, Sequence,
 )
 
-from .lanes import Lanes, chunks, fits64, low_bytes
+from .lanes import Lanes
 
 GAP = "-"
 
@@ -199,31 +199,23 @@ def min_pairwise(
     dist: Callable,
     upper_bound: float | None = None,
 ) -> MinResult:
-    """Minimum over all unordered pairs of distinct items.
+    """Minimum over all unordered pairs of distinct items, one row of
+    pairs (items[i] against each later item) per _scan_blocks block.
 
     ``upper_bound`` allows stopping once a pair attains it (enough to
     certify a <=-bound without the full quadratic scan).
     """
-    if len(items) < 2:
+    k = len(items)
+    if k < 2:
         raise ValueError("need at least two items")
-    best = top = None
-    pair = (0, 1)
-    hits = pairs = 0
-    stopped = False
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            d = dist(items[i], items[j])
-            if best is None or d < best:
-                best, pair, hits = d, (i, j), 1
-            elif d == best:
-                hits += 1
-            if top is None or d > top:
-                top = d
-        pairs += len(items) - 1 - i
-        if upper_bound is not None and best is not None and best <= upper_bound:
-            stopped = i < len(items) - 2
-            break
-    return MinResult(best, pair, hits, top, not stopped, pairs)
+    rows = (
+        (range(i, i + 1), [0, k - 1 - i],
+         [dist(items[i], items[j]) for j in range(i + 1, k)])
+        for i in range(k - 1)
+    )
+    return _scan_blocks(
+        rows, upper_bound, lambda v: v, lambda row: (min(row), max(row))
+    )
 
 
 # (lane width, array/memoryview format of an unsigned int of that width)
@@ -300,14 +292,15 @@ def _scan_blocks(
     value: Callable[[int], float],
     extremes: Callable[[Sequence[int]], tuple[int, int]],
 ) -> MinResult:
-    """min_pairwise's bookkeeping, a block of rows at a time: scores
-    holds a block's lane values in row order, the values from items[i]
-    to items[i + 1], items[i + 2], ... for each of its rows i (laid out
-    as _blocks gives them), extremes(scores) is their (min, max), and
-    value(v) the distance a lane value stands for (exact and increasing,
-    so lane values compare as the distances do).  An early exit stops
-    after the row of the first lane whose value meets the bound, and
-    reads the block only up to that row's end."""
+    """The pair scans' bookkeeping, a block of rows at a time: scores
+    holds a block's values in row order, the values from items[i] to
+    items[i + 1], items[i + 2], ... for each of its rows i (laid out as
+    _blocks gives them, or one row per block for min_pairwise),
+    extremes(scores) is their (min, max), and value(v) the distance a
+    value stands for (exact and increasing, so values compare as the
+    distances do).  An early exit stops after the row of the first value
+    that meets the bound, and reads the block only up to that row's
+    end."""
     best = top = None
     pair = (0, 1)
     hits = pairs = 0
@@ -518,29 +511,15 @@ def min_nonzero_hamming_weight(
     words: Iterable[int], n: int, lanes: Lanes
 ) -> int:
     """Minimum Hamming distance of a linear code of words packed as
-    lanes packs them.
+    lanes packs them, by a scan of the words.
 
     For a code closed under addition the minimum pairwise distance
     equals the minimum weight of a nonzero codeword.
-
-    Packed words (lanes.fits64) are weighed a chunk at a time: one
-    nonzero_lanes call marks every nonzero coordinate of the chunk, and
-    the n marks of each word are summed into its low byte (at most 32,
-    so no sum carries); only the zero word has weight 0.
     """
-    if not fits64(words, n, lanes.lane):
-        best = min(
-            map(lanes.word_hamming_weight, filter(None, words), repeat(n)),
-            default=n + 1,
-        )
-    else:
-        best = n + 1
-        for chunk, x, ones in chunks(words):
-            marks, weights = lanes.nonzero_lanes(x, n, ones), 0
-            for j in range(n):
-                weights += marks >> lanes.lane * j & ones
-            column = low_bytes(weights, len(chunk)).translate(None, b"\0")
-            best = min(best, min(column, default=best))
+    best = min(
+        map(lanes.word_hamming_weight, filter(None, words), repeat(n)),
+        default=n + 1,
+    )
     if best > n:
         raise ValueError("no nonzero words")
     return best

@@ -264,7 +264,7 @@ def regenerate_table2(guard: int = cyclic.DEFAULT_GUARD) -> TableReport:
         f = factors[label]
         code = cyclic.single_generator_code(7, REGENERATED_TABLE2_U_EXPONENT, f)
         words = code.words(guard)
-        dist = metrics.min_nonzero_hamming_weight(words, 7, code.lanes)
+        dist = code.min_hamming(words, guard)
         code_u2 = cyclic.single_generator_code(7, PRINTED_TABLE2_U_EXPONENT, f)
         gen = f"u^{REGENERATED_TABLE2_U_EXPONENT}*({f})"
         report.rows.append(
@@ -339,7 +339,7 @@ def regenerate_table3(guard: int = cyclic.DEFAULT_GUARD) -> TableReport:
     report.notes.append(f"min_edit_codon_level: {min_edit_codon.minimum}")
     report.notes.append(f"min_edit_nucleotide_level: {min_edit_nuc.minimum}")
     report.notes.append(
-        f"min_hamming: {metrics.min_nonzero_hamming_weight(words, 7, code.lanes)}"
+        f"min_hamming: {code.min_hamming(words, guard)}"
     )
     report.notes.append(f"rc_closed: {closed}")
     if witnesses:

@@ -105,13 +105,6 @@ def element_str(x: int) -> str:
     return "+".join(terms)
 
 
-def ideal_members(i: int) -> frozenset[int]:
-    """The ideal u^i R = multiples of u^i, as a set of packed elements."""
-    if not 0 <= i <= 6:
-        raise ValueError("ideal exponent must be in 0..6")
-    return frozenset(j << i for j in range(1 << (6 - i)))
-
-
 # ---------------------------------------------------------------------------
 # packed length-n words
 
@@ -174,7 +167,6 @@ __all__ = [
     "to_bitstring",
     "from_bitstring",
     "element_str",
-    "ideal_members",
     "check_element",
     "WORDS",
     "word_scale_u",

@@ -16,7 +16,8 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import codons
-from .cyclic import CampaignResult, LinearCode, RcReport, check_rc_theorem
+from .cyclic import CampaignResult, LinearCode, RcReport
+from .cyclic import check_rc_theorem, least_weight_word
 from .gf2poly import Gf2Poly, divisors_of_xn_minus_1, split_top_level
 from .lanes import Lanes, fits64, map_chunks, spread
 
@@ -375,6 +376,28 @@ class SkewCode(LinearCode):
 
     def generators_self_reciprocal(self) -> bool:
         return all(is_self_reciprocal(g) for g in self.generators)
+
+    def min_hamming_witness(self, guard: int) -> tuple[int, int]:
+        """The minimum Hamming weight of a nonzero word and one word of
+        that weight, from the two binary component codes (Abualrub &
+        Seneviratne, Australas. J. Combin. 54, 2012).  v and v+1 are
+        orthogonal idempotents, so each word is v*x + (v+1)*y with x and
+        y words of the two components, nonzero exactly where x or y is;
+        the code holds v*x and (v+1)*y (it is closed under v*, and
+        (v+1)*c = c + v*c), so the lesser component minimum is d and
+        one of them attains it.  For a+vb, x = a+b and y = a: planes 0
+        and 1 of its Gray image, so the planes of the basis rows' images
+        span the components.  The skew shift plays no part, so this holds
+        for every case.  Raises ValueError for the zero code."""
+        n, ones = self.n, spread(1, self.n, LANE)
+        images = [gray_image(w, n) for w in self.basis()]
+        found = []
+        for plane, unit in ((0, V), (1, V1)):
+            rows = [g >> plane & ones for g in images]
+            if any(rows):
+                x = least_weight_word(rows, guard)
+                found.append((x.bit_count(), x * unit))
+        return min(found)
 
     # -- build-verify facts -------------------------------------------------
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dnacodes import cli, codons, skew
+from dnacodes import cli, codons, metrics, skew
 from dnacodes.cli import JobConfig, UsageError
 from helpers import src_env
 
@@ -79,6 +79,24 @@ PINNED = [
 @pytest.mark.parametrize("name, exit_code, argv", PINNED)
 def test_report_text_is_pinned(capsys, name, exit_code, argv):
     # the whole stdout, line order included, against a stored copy
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert out == (EXPECTED / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", [
+    "r64_n9_all_dna", "r64_n7_lee", "r64_n7_2e16_hamming",
+    "f2v_n8_theorem_failure", "f2v_n4_case2_all", "f2v_n8_case3_all",
+])
+def test_weight_minima_make_no_word_scan(capsys, monkeypatch, name):
+    # min_hamming and min_lee come from a small subcode whose witness is
+    # looked up among the words, so neither word scan runs
+    def scan(*args):
+        raise AssertionError("a word scan ran")
+
+    monkeypatch.setattr(metrics, "min_nonzero_hamming_weight", scan)
+    monkeypatch.setattr(metrics, "min_nonzero_lee_weight", scan)
+    exit_code, argv = {n: (c, a) for n, c, a in PINNED}[name]
     code, out, _ = run(capsys, *argv)
     assert code == exit_code
     assert out == (EXPECTED / f"{name}.txt").read_text()

@@ -371,7 +371,7 @@ def test_classify_dna_code_on_table3():
         [cyclic.codon_symbols(w, 7) for w in words], metrics.edit_distance
     )
     cls = cyclic.classify_dna_code(
-        code, words, 6, scan, cyclic.rc_closed_extensional(code, words)
+        code, words, 6, scan, cyclic.rc_closed_extensional(code, words)[0]
     )
     assert not cls.rc_closed
     assert cls.min_edit == 2
@@ -537,6 +537,50 @@ def test_socle_min_hamming_matches_the_word_scan():
             code = single_generator_code(n, level, Gf2Poly.from_string(f))
             if code.size() <= 2**16:
                 _socle_matches_scan(code)
+
+
+def test_min_lee_is_the_socle_minimum():
+    # every odd tower and even single-generator code of 2..2^16 words
+    codes = [CyclicCodeR.from_tower(n, polys)
+             for n in (3, 5, 7, 9) for polys in iter_admissible_towers(n)]
+    codes += [single_generator_code(n, level, f)
+              for n in (4, 6, 8, 10) for f in _divisors_of_xn_minus_1(n)
+              for level in range(6)]
+    codes = [code for code in codes if 2 <= code.size() <= 2**16]
+    assert len(codes) == 263 + 112
+    for code in codes:
+        words = code.words(2**16)
+        want = metrics.min_nonzero_lee_weight(words, code.n)
+        assert code.min_lee(words, 2**16) == want, code
+
+
+def test_weight_minima_need_an_enumerated_witness(monkeypatch):
+    # both rings: a listing without the witness, a witness of the wrong
+    # weight, and (r64) a witness of the wrong popcount
+    f = Gf2Poly.from_string("x^3+x+1")
+    codes = [single_generator_code(7, 3, f),
+             skew.SkewCode(8, [skew.parse_skew_poly("x^2+v*x+1")])]
+    for code in codes:
+        words = code.words()
+        d, witness = code.min_hamming_witness(2**16)
+        assert code.min_hamming(words, 2**16) == d
+        lacking = array("Q", [w for w in words if w != witness])
+        with pytest.raises(RuntimeError):
+            code.min_hamming(lacking, 2**16)
+        with monkeypatch.context() as m:
+            m.setattr(code, "min_hamming_witness",
+                      lambda guard: (d + 1, witness))
+            with pytest.raises(RuntimeError):
+                code.min_hamming(words, 2**16)
+    code = codes[0]
+    words = code.words()
+    d, witness = code.socle_min_hamming()
+    assert code.min_lee(words, 2**16) == d
+    # one more bit in the witness's lowest nonzero coordinate
+    heavier = witness | (witness & -witness) >> 1
+    monkeypatch.setattr(code, "socle_min_hamming", lambda guard: (d, heavier))
+    with pytest.raises(RuntimeError):
+        code.min_lee(words, 2**16)
 
 
 def _linear_basis_both(words):
@@ -923,7 +967,7 @@ def test_dna_fixed_points_match_the_per_word_images():
         words = code.words()
         want = tuple(w for w in words if rc_by_tuples(code, w) == w)
         for listing in (words, list(words)):
-            cls = cyclic.classify_dna_code(code, listing, 6, scan, (True, None))
+            cls = cyclic.classify_dna_code(code, listing, 6, scan, True)
             assert cls.fixed_points == want, code
         with_fixed += bool(want)
     assert with_fixed
@@ -940,8 +984,8 @@ FROZEN_RECORDS = [
     (cyclic.TorsionProfile, ("n", "levels", "k", "rank", "log2_size")),
     (cyclic.SubcodeU2Report, ("subcode_log2_size", "claim_log2_size",
                               "claim_inside_code", "equal", "f5")),
-    (cyclic.DnaClassification, ("n", "D", "rc_closed", "rc_witness",
-                                "fixed_points", "min_edit", "max_edit")),
+    (cyclic.DnaClassification, ("n", "D", "rc_closed", "fixed_points",
+                                "min_edit", "max_edit")),
     (cyclic.GrayImageReport, ("bit_length", "linear", "closed")),
     (cyclic.EditBoundCheck, ("min_edit", "min_edit_exact", "bound_min_degree",
                              "bound_singleton")),

@@ -503,15 +503,25 @@ def _campaign_codes():
     return [(code, code.words(2**16)) for code in codes if code.size() <= 2**16]
 
 
-def test_chunked_min_hamming_matches_the_word_scan():
-    codes = _campaign_codes()
+def test_component_min_hamming_matches_the_word_scan():
+    # the campaign's codes, case-2 codes (each case-3 generator with a
+    # random monic divisor) and a code past 64 bits
+    codes = list(_campaign_codes())
     assert len(codes) == 136
+    rng = random.Random(28)
+    pairs = []
+    for n in (4, 6, 8):
+        monic = skew.monic_right_divisors(n)
+        scaled = [c.generators[0] for c in skew.iter_case3_codes(n)]
+        pairs += [SkewCode(n, [rng.choice(monic), f]) for f in scaled]
+    wide = SkewCode(34, [skew.parse_skew_poly(
+        "v*x^26+v*x^25+v*x^23+v*x^20+v*x^18+v*x^17+v*x^9+v*x^8+v*x^6+v*x^3"
+        "+v*x+v")])
+    codes += [(code, code.words(2**16)) for code in pairs + [wide]]
+    assert isinstance(codes[-1][1], list)
     for code, words in codes:
-        n, weight = code.n, code.lanes.word_hamming_weight
-        want = min(weight(w, n) for w in words if w)
-        assert isinstance(words, array)
-        assert metrics.min_nonzero_hamming_weight(words, n, code.lanes) == want
-        assert metrics.min_nonzero_hamming_weight(list(words), n, code.lanes) == want
+        want = metrics.min_nonzero_hamming_weight(words, code.n, code.lanes)
+        assert code.min_hamming(words, 2**16) == want, code
     for words in ([0], [], array("Q", [0]), array("Q")):
         with pytest.raises(ValueError):
             metrics.min_nonzero_hamming_weight(words, 4, skew.WORDS)
