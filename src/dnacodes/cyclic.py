@@ -380,10 +380,15 @@ class LinearCode:
         """min_hamming_witness's minimum, with its witness checked among
         the code's enumerated words (ascending) and for its weight."""
         d, witness = self.min_hamming_witness(guard)
+        self._check_witness(words, d, witness)
+        return d
+
+    def _check_witness(
+        self, words: Sequence[int], d: int, witness: int
+    ) -> None:
         if (not has_word(words, witness)
                 or self.lanes.word_hamming_weight(witness, self.n) != d):
             raise RuntimeError(f"minimum {d} has no enumerated witness")
-        return d
 
     def to_dna(self, w: int, n: int) -> str:
         """One word's DNA string: its coordinates' dna_symbols."""
@@ -676,11 +681,13 @@ class CyclicCodeR(LinearCode):
 
     def min_lee(self, words: Sequence[int], guard: int) -> int:
         """The least Lee weight (popcount) of a nonzero word: min_hamming,
-        with the socle witness's popcount checked to equal it.  A popcount
-        is at least the Hamming weight, and every nonzero coordinate of a
-        socle word is u^5, one bit, so the two minima agree."""
-        d = self.min_hamming(words, guard)
-        if self.socle_min_hamming(guard)[1].bit_count() != d:
+        with the socle witness's popcount checked to equal it too.  A
+        popcount is at least the Hamming weight, and every nonzero
+        coordinate of a socle word is u^5, one bit, so the two minima
+        agree."""
+        d, witness = self.socle_min_hamming(guard)
+        self._check_witness(words, d, witness)
+        if witness.bit_count() != d:
             raise RuntimeError(f"socle minimum {d} is not a Lee minimum")
         return d
 

@@ -11,7 +11,6 @@ share; this module adds theta, the v-multiple and the skew shift.
 
 from __future__ import annotations
 
-import itertools
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -65,7 +64,7 @@ def parse_scalar(text: str) -> int:
         raise ValueError(f"not a scalar of F2+vF2: {text!r}") from None
 
 
-# -- skew polynomials (tuples of scalars, lowest degree first) -------------
+# -- skew polynomials (scalar tuples, lowest degree first; packed division) ---
 
 
 def poly_normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -103,26 +102,34 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return poly_normalize(out)
 
 
-def poly_right_divmod(
-    dividend: Sequence[int], divisor: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def pack_poly(p: Sequence[int]) -> int:
+    """A skew polynomial as one int, a byte lane per coefficient, lowest
+    degree in the low byte; trailing zero coefficients pack to nothing."""
+    return int.from_bytes(bytes(p), "little")
+
+
+def unpack_poly(x: int) -> tuple[int, ...]:
+    """The normalised coefficient tuple of a packed polynomial."""
+    return tuple(x.to_bytes(x.bit_length() + 7 >> 3, "little"))
+
+
+def poly_right_divmod(dividend: int, divisor: int) -> tuple[int, int]:
     """Divide on the right by a monic divisor: dividend = q * divisor + r.
 
-    Each operand is one int with a byte lane per coefficient, lowest
-    degree in the low byte.  A step clears the top lane c of the
-    remainder by XORing in c*theta^k(divisor) shifted k lanes up (the
-    leading coefficient of (c x^k)*divisor is c*theta^k(1) = c).  theta
-    and the products by v and v+1 are lane-wise masks, so no lane
-    carries into the next.
+    Operands and results are packed (pack_poly).  A step clears the top
+    lane c of the remainder by XORing in c*theta^k(divisor) shifted k
+    lanes up (the leading coefficient of (c x^k)*divisor is
+    c*theta^k(1) = c).  theta and the products by v and v+1 are
+    lane-wise masks, so no lane carries into the next.
     """
-    g = int.from_bytes(bytes(divisor), "little")
+    g = divisor
     if not g:
         raise ZeroDivisionError("skew division by zero")
     low = (g.bit_length() - 1) & ~7  # 8 * deg(divisor)
     if g >> low != ONE:
         raise ValueError("right division needs a monic divisor")
     ones = (1 << low + 8) // 255  # bit 0 of every lane of the divisor
-    rem = int.from_bytes(bytes(dividend), "little")
+    rem = dividend
     quot = 0
     top = (rem.bit_length() - 1) & ~7
     while top >= low:
@@ -135,10 +142,7 @@ def poly_right_divmod(
         quot |= c << k
         rem ^= h << k
         top = (rem.bit_length() - 1) & ~7
-    return (
-        tuple(quot.to_bytes(quot.bit_length() + 7 >> 3, "little")),
-        tuple(rem.to_bytes(rem.bit_length() + 7 >> 3, "little")),
-    )
+    return quot, rem
 
 
 def poly_reciprocal(p: Sequence[int]) -> tuple[int, ...]:
@@ -329,11 +333,11 @@ class SkewCode(LinearCode):
 
     @staticmethod
     def _check_right_divisor(n: int, g: Sequence[int]) -> None:
-        _, rem = poly_right_divmod(x_pow_n_minus_1(n), g)
+        _, rem = poly_right_divmod(pack_poly(x_pow_n_minus_1(n)), pack_poly(g))
         if rem:
             raise SkewCodeError(
                 f"{poly_str(g)} is not a right divisor of x^{n}-1 "
-                f"(remainder {poly_str(rem)})"
+                f"(remainder {poly_str(unpack_poly(rem))})"
             )
 
     @staticmethod
@@ -448,26 +452,39 @@ class SkewCode(LinearCode):
 # -- right-divisor search ----------------------------------------------------
 
 
-def monic_right_divisor_candidates(n: int, degree: int) -> Iterator[tuple[int, ...]]:
-    """All monic degree-d polynomials with unit constant term; any right
-    divisor of x^n - 1 must look like this because the constant term of
-    a product is the product of the constant terms."""
+def _lane_values(first: int, stop: int) -> list[int]:
+    """Every packed choice of scalars for lanes first..stop-1, in
+    itertools.product order (the lowest lane varies slowest)."""
+    values = [0]
+    for lane in range(first, stop):
+        values = [v | c << 8 * lane for v in values for c in range(4)]
+    return values
+
+
+def monic_right_divisor_candidates(n: int, degree: int) -> Iterator[int]:
+    """All monic degree-d polynomials with unit constant term, packed
+    (pack_poly), the x coefficient varying slowest; any right divisor of
+    x^n - 1 must look like this because the constant term of a product
+    is the product of the constant terms.  Streamed: each half of the
+    middle lanes is listed once and the halves are ORed together."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    for middle in itertools.product(range(4), repeat=degree - 1):
-        yield (ONE,) + middle + (ONE,)
+    half = (degree + 1) // 2  # lanes 1..half-1 vary slowest
+    ends = ONE | ONE << 8 * degree
+    high = _lane_values(half, degree)
+    for low in _lane_values(1, half):
+        yield from map((ends | low).__or__, high)
 
 
 def monic_right_divisors(n: int) -> list[tuple[int, ...]]:
     """Every monic right divisor of x^n - 1 of degree 1..n-1, by
     exhaustive search."""
-    target = x_pow_n_minus_1(n)
+    target = pack_poly(x_pow_n_minus_1(n))
     found = []
     for d in range(1, n):
         for g in monic_right_divisor_candidates(n, d):
-            _, rem = poly_right_divmod(target, g)
-            if not rem:
-                found.append(g)
+            if not poly_right_divmod(target, g)[1]:
+                found.append(unpack_poly(g))
     return found
 
 
@@ -475,9 +492,10 @@ def two_sided_factorization_holds(n: int, g: Sequence[int]) -> bool:
     """For a monic right divisor g of x^n - 1, the cofactor q must
     satisfy both q*g = x^n - 1 and g*q = x^n - 1."""
     target = x_pow_n_minus_1(n)
-    q, rem = poly_right_divmod(target, g)
+    q, rem = poly_right_divmod(pack_poly(target), pack_poly(g))
     if rem:
         raise SkewCodeError(f"{poly_str(g)} is not a right divisor")
+    q = unpack_poly(q)
     return poly_mul(q, g) == target and poly_mul(g, q) == target
 
 
@@ -563,6 +581,8 @@ __all__ = [
     "poly_degree",
     "poly_add",
     "poly_mul",
+    "pack_poly",
+    "unpack_poly",
     "poly_right_divmod",
     "poly_reciprocal",
     "is_self_reciprocal",

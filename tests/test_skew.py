@@ -1,6 +1,7 @@
 """Skew polynomials and skew cyclic codes over the four-element ring."""
 
 import functools
+import itertools
 import random
 from array import array
 
@@ -89,6 +90,14 @@ def test_poly_mul_associative_and_distributive():
         )
 
 
+def unpacked_divmod(dividend, divisor):
+    """skew.poly_right_divmod on coefficient sequences, through
+    pack_poly and unpack_poly."""
+    q, r = skew.poly_right_divmod(
+        skew.pack_poly(dividend), skew.pack_poly(divisor))
+    return skew.unpack_poly(q), skew.unpack_poly(r)
+
+
 def test_right_divmod_reconstructs():
     rng = random.Random(701)
     for _ in range(250):
@@ -96,7 +105,7 @@ def test_right_divmod_reconstructs():
         g = random_poly(rng, max_deg=3)
         if skew.poly_degree(g) is None or g[-1] != ONE:
             continue  # right division needs a monic divisor
-        q, r = skew.poly_right_divmod(f, g)
+        q, r = unpacked_divmod(f, g)
         assert skew.poly_add(skew.poly_mul(q, g), r) == skew.poly_normalize(f)
         assert skew.poly_degree(r) is None or skew.poly_degree(
             r
@@ -105,18 +114,19 @@ def test_right_divmod_reconstructs():
 
 def test_right_divmod_rejects_bad_divisors():
     with pytest.raises(ZeroDivisionError):
-        skew.poly_right_divmod((ONE,), ())
+        unpacked_divmod((ONE,), ())
     with pytest.raises(ValueError):
-        skew.poly_right_divmod((ONE, ONE), (V, ONE, V))  # leading v
+        unpacked_divmod((ONE, ONE), (V, ONE, V))  # leading v
 
 
 def test_right_divmod_matches_reference_on_every_divisor_candidate():
     for n in range(2, 9):
         target = skew.x_pow_n_minus_1(n)
         for d in range(1, n):
-            for g in skew.monic_right_divisor_candidates(n, d):
+            for packed in skew.monic_right_divisor_candidates(n, d):
+                g = skew.unpack_poly(packed)
                 want = reference_poly_right_divmod(target, g)
-                assert skew.poly_right_divmod(target, g) == want, (n, g)
+                assert unpacked_divmod(target, g) == want, (n, g)
 
 
 def test_right_divmod_matches_reference_on_random_pairs():
@@ -129,8 +139,8 @@ def test_right_divmod_matches_reference_on_random_pairs():
         f += [ZERO] * rng.randrange(3)
         g += [ZERO] * rng.randrange(3)
         want = reference_poly_right_divmod(f, g)
-        assert skew.poly_right_divmod(tuple(f), tuple(g)) == want, (f, g)
-        assert skew.poly_right_divmod(f, g) == want, (f, g)
+        assert unpacked_divmod(tuple(f), tuple(g)) == want, (f, g)
+        assert unpacked_divmod(f, g) == want, (f, g)
 
 
 @pytest.mark.parametrize("divisor, error", [
@@ -145,7 +155,7 @@ def test_right_divmod_raises_as_the_reference(divisor, error):
         with pytest.raises(error):
             reference_poly_right_divmod(dividend, divisor)
         with pytest.raises(error):
-            skew.poly_right_divmod(dividend, divisor)
+            unpacked_divmod(dividend, divisor)
 
 
 def test_reciprocal_worked_example():
@@ -364,9 +374,51 @@ def test_monic_right_divisor_counts_frozen():
         assert len(divs) == count, n
         target = skew.x_pow_n_minus_1(n)
         for g in divs:
-            q, r = skew.poly_right_divmod(target, g)
+            q, r = unpacked_divmod(target, g)
             assert r == ()
             assert skew.two_sided_factorization_holds(n, g)
+
+
+def test_divisor_search_makes_one_division_per_candidate(monkeypatch):
+    # the traced benchmark pins these counts; a skipped or cached call
+    # would change them
+    calls = [0]
+    divide = skew.poly_right_divmod
+
+    def counting(dividend, divisor):
+        calls[0] += 1
+        return divide(dividend, divisor)
+
+    monkeypatch.setattr(skew, "poly_right_divmod", counting)
+    for n in range(2, 9):
+        calls[0] = 0
+        divisors = skew.monic_right_divisors(n)
+        assert calls[0] == (4 ** (n - 1) - 1) // 3, n
+        if n % 2 == 0:
+            calls[0] = 0
+            skew.all_codes(n)
+            assert calls[0] == (4 ** (n - 1) - 1) // 3 + len(divisors), n
+
+
+def test_divisor_candidates_in_product_order():
+    for n in range(2, 9):
+        for d in range(1, n):
+            got = [skew.unpack_poly(g)
+                   for g in skew.monic_right_divisor_candidates(n, d)]
+            want = [(ONE,) + middle + (ONE,)
+                    for middle in itertools.product(range(4), repeat=d - 1)]
+            assert got == want, (n, d)
+
+
+def test_pack_poly_round_trips():
+    rng = random.Random(2030)
+    polys = [(), (ZERO,), (ZERO, ZERO), (ONE,), (ZERO, V1), (V, ZERO, ZERO)]
+    polys += [[rng.randrange(4) for _ in range(rng.randrange(41))]
+              + [ZERO] * rng.randrange(3) for _ in range(200)]
+    for p in polys:
+        x = skew.pack_poly(p)
+        assert skew.unpack_poly(x) == skew.poly_normalize(p), p
+        assert skew.pack_poly(skew.unpack_poly(x)) == x, p
 
 
 def test_case3_code_count_n10():
