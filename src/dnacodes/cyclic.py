@@ -892,15 +892,13 @@ class EditBoundCheck(NamedTuple):
 def edit_bound_check(
     code: CyclicCodeR,
     words: Sequence[int],
-    exact: bool = False,
     scan: metrics.MinResult | None = None,
 ) -> EditBoundCheck:
     """Codon-level minimum edit distance of the code's enumerated words
     against the two structural bounds: min deg(fi) + 1 and n - rank + 1.
 
-    By default the pair scan stops as soon as the bounds are certified;
-    pass exact=True to force the full quadratic scan, or the full
-    unit-cost scan of the words' codon symbols as scan to read it
+    The pair scan stops as soon as the bounds are certified; pass the
+    full unit-cost scan of the words' codon symbols as scan to read it
     instead of scanning.  The check holds either way for the same
     codes: a scan that stops early has met the bounds, which the full
     minimum, no larger, meets too, and one that never stops is the
@@ -913,10 +911,10 @@ def edit_bound_check(
     )
     bound_deg = min_deg + 1
     bound_single = code.n - code.rank() + 1
-    cutoff = None if exact else min(bound_deg, bound_single)
     if scan is None:
         scan = metrics.min_edit_pairwise(
-            [codon_symbols(w, code.n) for w in words], upper_bound=cutoff
+            [codon_symbols(w, code.n) for w in words],
+            upper_bound=min(bound_deg, bound_single),
         )
     return EditBoundCheck(
         min_edit=scan.minimum,

@@ -43,9 +43,7 @@ class EditCostTable:
                 raise ValueError("gap-to-gap entry is meaningless")
 
     def cost(self, a: str, b: str) -> float:
-        if a == b:
-            return self._entries.get((a, b), 0.0)
-        return self._entries.get((a, b), 1.0)
+        return self._entries.get((a, b), float(a != b))
 
     @classmethod
     def from_csv(
@@ -101,29 +99,30 @@ def edit_distance(
 ) -> float:
     """Weighted Levenshtein distance between two symbol sequences.
 
-    With no cost table this is the classic unit-cost edit distance and
-    the result is returned as an int.
+    With no cost table the unit-cost distance, an int; with one, the DP
+    on _scaled_costs' exact ints, rounded once to a float.
     """
     if costs is None:
         return _unit_edit_distance(x, y)
-    # The DP with costs looked up per call (insertions), per row
-    # (deletions) and per distinct symbol of x (substitutions), never
-    # per cell.  Each cell adds and compares in the order of the plain
-    # recurrence, so the float result is exact to the bit.
-    ins = [costs.cost(GAP, b) for b in y]
-    prev = [0.0]
-    for c in ins:
-        prev.append(prev[-1] + c)
-    sub_rows: dict[Hashable, list[float]] = {}
+    denominator, scaled = _scaled_costs((x, y), costs)
+    return _weighted_edit_distance(x, y, scaled) / denominator
+
+
+def _weighted_edit_distance(x: Sequence, y: Sequence, scaled: dict) -> int:
+    """The weighted DP on _scaled_costs' ints, with insertions looked up
+    per call, deletions per row and substitutions per symbol of x."""
+    ins = [scaled[GAP, b] for b in y]
+    prev = list(accumulate(ins, initial=0))
+    sub_rows: dict[Hashable, list[int]] = {}
     for a in x:
         sub = sub_rows.get(a)
         if sub is None:
-            sub = sub_rows[a] = [costs.cost(a, b) for b in y]
-        dele = costs.cost(a, GAP)
+            sub = sub_rows[a] = [scaled[a, b] for b in y]
+        dele = scaled[a, GAP]
         left = prev[0] + dele
         cur = [left]
         for diag, up, s, c in zip(prev, prev[1:], sub, ins):
-            # min(diag + s, up + dele, left + c), unrolled in min's order
+            # min(diag + s, up + dele, left + c), unrolled
             best = diag + s
             step = up + dele
             if step < best:
@@ -240,31 +239,35 @@ def min_edit_pairwise(
     _blocks), so each step acts on every pair of a block.  With unit
     costs (m <= 63) the lanes run the bit-vector step of
     _unit_edit_distance; with a cost table they run the min-plus DP
-    (see _weighted_blocks) when its float sums are exact.  Unequal
-    lengths, m = 0, m >= 64 at unit cost and cost tables whose sums
-    may round go pair by pair through min_pairwise.
+    on _scaled_costs' ints (see _weighted_blocks) up to 64-bit lanes.
+    Unequal lengths, m = 0, m >= 64 at unit cost and wider cost tables
+    go pair by pair through min_pairwise, on the same ints.
     """
     k = len(items)
     m = len(items[0]) if items else 0
-    if k > 1 and m and all(len(x) == m for x in items):
-        blocks = _blocks(k, upper_bound is not None)
-        if costs is None:
-            if m < 64:
-                return _scan_blocks(
-                    _unit_blocks(items, m, blocks), upper_bound, int,
-                    _byte_extremes(m),
-                )
-        else:
-            exact = _scaled_costs(items, m, costs)
-            if exact is not None:
-                denominator, scaled, width, fmt = exact
-                return _scan_blocks(
-                    _weighted_blocks(items, m, scaled, width, fmt, blocks),
-                    upper_bound, lambda v: v / denominator,
-                    lambda scores: (min(scores), max(scores)),
-                )
+    packs = k > 1 and m and all(len(x) == m for x in items)
+    blocks = _blocks(k, upper_bound is not None)
+    if costs is None:
+        if packs and m < 64:
+            return _scan_blocks(
+                _unit_blocks(items, m, blocks), upper_bound, int,
+                _byte_extremes(m),
+            )
+        return min_pairwise(items, edit_distance, upper_bound)
+    denominator, scaled = _scaled_costs(items, costs)
+    # every DP value is at most B; W-bit lanes need B < 2^(W - 1)
+    bound = (2 * m + 1) * max(scaled.values())
+    lane = next((w for w in _LANES if bound < 1 << w[0] - 1), None)
+    if packs and lane:
+        return _scan_blocks(
+            _weighted_blocks(items, m, scaled, *lane, blocks),
+            upper_bound, lambda v: v / denominator,
+            lambda scores: (min(scores), max(scores)),
+        )
     return min_pairwise(
-        items, lambda a, b: edit_distance(a, b, costs), upper_bound
+        items,
+        lambda x, y: _weighted_edit_distance(x, y, scaled) / denominator,
+        upper_bound,
     )
 
 
@@ -404,30 +407,33 @@ def _unit_blocks(
         yield rows, bounds, column
 
 
+def _ratio(cost: float) -> tuple[int, int]:
+    """cost as p / q in lowest terms: a float as its repr, the shortest
+    decimal that reads back as it (0.1 is 1/10), anything else exactly."""
+    if not isinstance(cost, float):
+        return cost.as_integer_ratio()
+    digits, _, exponent = repr(cost).partition("e")
+    whole, _, fraction = digits.partition(".")
+    e = int(exponent or 0) - len(fraction)
+    p, q = int(whole + fraction) * 10 ** max(e, 0), 10 ** max(-e, 0)
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
 def _scaled_costs(
-    items: Sequence[Sequence[Hashable]], m: int, costs: EditCostTable
-) -> tuple[int, dict[tuple[Hashable, Hashable], int], int, str] | None:
-    """(D, scaled, W, format): every cost a scan of items can look up,
-    times D, the largest denominator among them, as exact ints; or None
-    unless every such cost is dyadic and B = (2m + 1) * max scaled cost
-    is below 2^53.  Every DP candidate is a path cost of at most 2m
-    steps, so under B every float sum of edit_distance is exact, and
-    its DP is the int DP over D.  W is the least lane width with
-    B < 2^(W - 1), which keeps every lane's guard bit clear."""
+    items: Iterable[Sequence[Hashable]], costs: EditCostTable
+) -> tuple[int, dict[tuple[Hashable, Hashable], int]]:
+    """(D, scaled): every cost a scan of items can look up (sub, del and
+    ins over their symbols), its exact ratio times D, the lcm of their
+    denominators, an int; a DP value v over them stands for v / D."""
     symbols = set().union(*items) | {GAP}
     ratios = {
-        (a, b): costs.cost(a, b).as_integer_ratio()
-        for a in symbols for b in symbols
+        (a, b): _ratio(costs.cost(a, b)) for a in symbols for b in symbols
     }
-    if any(q & (q - 1) for _, q in ratios.values()):
-        return None
-    denominator = max(q for _, q in ratios.values())
-    scaled = {key: p * (denominator // q) for key, (p, q) in ratios.items()}
-    bound = (2 * m + 1) * max(scaled.values())
-    if bound >= 1 << 53:
-        return None
-    width, fmt = next(lane for lane in _LANES if bound < 1 << lane[0] - 1)
-    return denominator, scaled, width, fmt
+    denominator = math.lcm(*(q for _, q in ratios.values()))
+    return denominator, {
+        key: p * (denominator // q) for key, (p, q) in ratios.items()
+    }
 
 
 def _weighted_blocks(

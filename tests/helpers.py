@@ -7,7 +7,8 @@ convolution instead of packed-integer shifts, irreducibility by trial
 division, and code enumeration by breadth-first closure instead of
 row-echelon span walks.  dp_edit_distance is the plain per-cell edit
 distance DP, the reference for the library's bit-parallel unit-cost kernel
-and its hoisted weighted DP.  reference_gray_report is the Gray image
+and, summing each cost's decimal as a Fraction, for its scaled-int
+weighted DP.  reference_gray_report is the Gray image
 report by an Echelon over every word plus a per-word closure loop for
 each named map, the reference for the library's basis certificates.
 subcode_u2_by_spanning builds the u^2 subcode's echelon from the shifts
@@ -26,6 +27,7 @@ package from this checkout in a subprocess.
 """
 
 import os
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -73,7 +75,9 @@ def alignment_edit_distance(x, y, costs=None):
 def dp_edit_distance(x, y, costs=None):
     """Edit distance by the O(mn) Levenshtein DP, one cost lookup per cell.
 
-    With no cost table: unit costs and an int result.
+    With no cost table: unit costs and an int result.  With one: each
+    cost the exact decimal its repr reads (0.1 is 1/10), Fraction sums,
+    and the result rounded once to a float.
     """
     if costs is None:
         if len(x) < len(y):
@@ -85,21 +89,24 @@ def dp_edit_distance(x, y, costs=None):
                 cur.append(min(prev[j] + (a != b), prev[j + 1] + 1, cur[j] + 1))
             prev = cur
         return prev[-1]
-    prev = [0.0] * (len(y) + 1)
+    def cost(a, b):
+        return Fraction(repr(costs.cost(a, b)))
+
+    prev = [Fraction(0)] * (len(y) + 1)
     for j, b in enumerate(y):
-        prev[j + 1] = prev[j] + costs.cost("-", b)
+        prev[j + 1] = prev[j] + cost("-", b)
     for a in x:
-        cur = [prev[0] + costs.cost(a, "-")]
+        cur = [prev[0] + cost(a, "-")]
         for j, b in enumerate(y):
             cur.append(
                 min(
-                    prev[j] + costs.cost(a, b),
-                    prev[j + 1] + costs.cost(a, "-"),
-                    cur[j] + costs.cost("-", b),
+                    prev[j] + cost(a, b),
+                    prev[j + 1] + cost(a, "-"),
+                    cur[j] + cost("-", b),
                 )
             )
         prev = cur
-    return prev[-1]
+    return float(prev[-1])
 
 
 def _linear_by_echelon(word_set):

@@ -130,6 +130,45 @@ def test_package_and_cli_import_no_dataclasses_or_inspect():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_package_and_cli_import_no_fractions_or_decimal():
+    # cost tables are exact without them; both cost milliseconds at
+    # start-up, which every CLI run pays
+    script = (
+        "import sys\n"
+        "import dnacodes, dnacodes.cli\n"
+        "from dnacodes.metrics import EditCostTable, edit_distance\n"
+        "costs = EditCostTable({('A', 'C'): 0.1, ('G', 'T'): 0.2})\n"
+        "print(edit_distance('AG', 'CT', costs))\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0.3", "[]"]
+
+
+def test_decimal_cost_table_takes_the_packed_scan(capsys, tmp_path, monkeypatch):
+    # a decimal cost such as 0.1 used to send this scan pair by pair
+    # through edit_distance's float DP
+    costs = tmp_path / "costs.csv"
+    costs.write_text("A,G,0.1\nC,T,0.3\n-,A,1.7\n")
+
+    def per_pair(*args):
+        raise AssertionError("per-pair edit distance")
+
+    monkeypatch.setattr(metrics, "edit_distance", per_pair)
+    monkeypatch.setattr(metrics, "_weighted_edit_distance", per_pair)
+    code, out, _ = run(
+        capsys, "build-verify", "--ring", "r64", "-n", "7",
+        "--gen", "u^3*(x+1)*(x^3+x+1)", "--metric", "edit",
+        "--level", "nucleotide", "--costs", str(costs),
+    )
+    assert code == 0
+    assert "min_edit_nucleotide: 1.6\n" in out
+
+
 def test_readme_f2v_example_skips_the_edit_scan():
     # the README example with default flags: 4096 words, so --metric all
     # must skip the quadratic edit scan and finish quickly

@@ -331,9 +331,11 @@ def test_edit_bound_check_frozen_family():
         assert chk.holds, label
         assert min(chk.bound_min_degree, chk.bound_singleton) == bounds[label]
         if label in exact_edit:
-            chk_exact = cyclic.edit_bound_check(
-                code, code.words(2**20), exact=True
+            words = code.words(2**20)
+            full = metrics.min_edit_pairwise(
+                [cyclic.codon_symbols(w, 7) for w in words]
             )
+            chk_exact = cyclic.edit_bound_check(code, words, scan=full)
             assert chk_exact.min_edit_exact
             assert chk_exact.min_edit == exact_edit[label]
             assert chk_exact.holds

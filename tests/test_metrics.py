@@ -103,9 +103,10 @@ def test_weighted_edit_distance_matches_alignment_oracle():
 
 
 def test_weighted_edit_distance_matches_per_cell_dp_exactly():
-    """The hoisted DP adds and compares in the per-cell DP's order, so the
-    float results are equal, not merely close.  The tables have
-    fractional costs, non-zero diagonal entries and symbols they omit."""
+    """The scaled-int DP against the per-cell DP over each cost's exact
+    decimal, both rounded once, so the float results are equal, not
+    merely close.  The tables have fractional costs of up to 17 digits,
+    non-zero diagonal entries and symbols they omit."""
     rng = random.Random(0xC057)
     symbols = ("A", "C", "G", "T")
     for trial in range(150):
@@ -360,18 +361,35 @@ def assert_weighted_scan_matches(items, costs, upper_bounds):
 
 
 def lane_limit_cost(width, m):
-    """The cost c whose B = (2m + 1)c is the largest below 2^(W-1)
-    (below 2^53 for W = 64): the packed scan of length-m items under
-    uniform_costs(alphabet, c) takes W-bit lanes, at c + 1 the next."""
-    return ((1 << min(width - 1, 53)) - 1) // (2 * m + 1)
+    """The int cost c whose B = (2m + 1)c is the largest below 2^(W-1):
+    the packed scan of length-m items under uniform_costs(alphabet, c)
+    takes W-bit lanes, at c + 1 the next, or pair by pair past 64."""
+    return ((1 << width - 1) - 1) // (2 * m + 1)
 
 
 def uniform_costs(alphabet, cost):
-    """Every entry cost but the diagonal's zeros."""
+    """Every entry cost (kept an int if it is one) but the diagonal's
+    zeros."""
     everything = list(alphabet) + ["-"]
     return EditCostTable({
-        (a, b): float(cost) for a in everything for b in everything if a != b
+        (a, b): cost for a in everything for b in everything if a != b
     })
+
+
+def packed_width(items, costs):
+    """The lane width min_edit_pairwise(items, costs) packs its pairs
+    at, or None where it goes pair by pair."""
+    widths = []
+    real = metrics._weighted_blocks
+
+    def spy(items, m, scaled, width, fmt, blocks):
+        widths.append(width)
+        return real(items, m, scaled, width, fmt, blocks)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_weighted_blocks", spy)
+        metrics.min_edit_pairwise(items, costs)
+    return widths[0] if widths else None
 
 
 @pytest.mark.parametrize("width, next_width", [
@@ -379,10 +397,10 @@ def uniform_costs(alphabet, cost):
 ])
 def test_weighted_packed_scan_at_each_lane_width_limit(width, next_width):
     """Every cost c but the diagonal's zeros, with B = (2m + 1)c the
-    largest below 2^(W-1) (below 2^53 for W = 64), so that distances
-    run to about half of each W-bit lane; at c + 1 the scan takes the
-    next width, or the per-pair scan past 64 bits.  Strings and codon
-    tuples, with bounds that stop after the first row or never."""
+    largest below 2^(W-1), so that distances run to about half of each
+    W-bit lane; at c + 1 the scan takes the next width, or the per-pair
+    scan past 64 bits.  Strings and codon tuples, with bounds that stop
+    after the first row or never."""
     rng = random.Random(width)
     m = 7
     c = lane_limit_cost(width, m)
@@ -391,8 +409,7 @@ def test_weighted_packed_scan_at_each_lane_width_limit(width, next_width):
             costs = uniform_costs(alphabet, cost)
             for k in (2, 3, 12):
                 items = random_items(rng, alphabet, m, k)
-                exact = metrics._scaled_costs(items, m, costs)
-                assert (exact[2] if exact else None) == want
+                assert packed_width(items, costs) == want
                 assert_weighted_scan_matches(
                     items, costs, (None, 0.0, float(cost * m))
                 )
@@ -409,7 +426,7 @@ def test_weighted_packed_scan_matches_the_dp_on_random_tables():
         items = random_items(rng, alphabet, m, rng.randrange(2, 15))
         if len(items) < 2:
             continue
-        assert metrics._scaled_costs(items, m, costs) is not None
+        assert packed_width(items, costs) is not None
         assert_weighted_scan_matches(items, costs, (None, 0.5, 2.0))
 
 
@@ -529,24 +546,65 @@ def test_weighted_block_scan_at_each_lane_width(width):
     cost = lane_limit_cost(width, m)
     items = random_items(rng, CODON_ALPHABET, m, BLOCK_K)
     costs = uniform_costs(CODON_ALPHABET, cost)
-    assert metrics._scaled_costs(items, m, costs)[2] == width
+    assert packed_width(items, costs) == width
     assert_weighted_scan_matches(items, costs, (None, 0.0, float(cost * 2)))
 
 
-def test_weighted_scan_falls_back_where_float_sums_may_round():
-    """A 0.1 cost, a cost range too wide for 64-bit lanes and unequal
-    lengths take the per-pair scan, with the same result."""
+def test_weighted_scan_goes_pair_by_pair_past_64_bit_lanes():
+    """A table with B >= 2^63 and unequal lengths take the per-pair
+    scan, with the same result as the packed one would give: that of
+    the per-cell DP over exact decimals.  A 0.1 cost packs."""
     rng = random.Random(0xF10A7)
     items = random_items(rng, "ACGT", 6, 10)
     tenth = EditCostTable({("A", "C"): 0.1, ("G", "-"): 0.3})
-    wide = dyadic_cost_table(rng, "ACGT", 2.0 ** 50)
-    for costs in (tenth, wide):
-        assert metrics._scaled_costs(items, 6, costs) is None
-        assert_weighted_scan_matches(items, costs, (None, 0.1, 1.0))
+    # insertions of 2^63, 2^66 at D = 8, so B is past 64-bit lanes
+    wide = dyadic_cost_table(rng, "ACGT", 2 ** 63)
     ragged = items[:5] + [x[:3] for x in items[5:]]
-    assert_weighted_scan_matches(
-        ragged, dyadic_cost_table(rng, "ACGT", 1.0), (None, 0.5)
-    )
+    for costs, scanned, width in ((tenth, items, 16), (wide, items, None),
+                                  (tenth, ragged, None)):
+        assert packed_width(scanned, costs) == width
+        assert_weighted_scan_matches(scanned, costs, (None, 0.1, 1.0))
+        for ub in (None, 1.0):
+            want = metrics.min_pairwise(
+                scanned, lambda a, b: dp_edit_distance(a, b, costs), ub
+            )
+            assert metrics.min_edit_pairwise(scanned, costs, ub) == want
+
+
+def test_cost_ratio_is_the_exact_decimal_in_lowest_terms():
+    """A float reads as its repr, reduced: 8.0 is 8/1, not 80/10, so
+    a table of 8.0 costs packs as tightly as one of 8s.  Ints stay
+    exact past 2^53, where floats would round."""
+    assert metrics._ratio(1e-05) == (1, 100_000)
+    assert metrics._ratio(8.0) == (8, 1)
+    assert metrics._ratio(0.125) == (1, 8)
+    assert metrics._ratio(0.1) == (1, 10)
+    assert metrics._ratio(2.5e20) == (250_000_000_000_000_000_000, 1)
+    assert metrics._ratio(0.0) == (0, 1)
+    assert metrics._ratio(2 ** 53 + 1) == (2 ** 53 + 1, 1)
+    items = ["ACGTACG", "CAGTTGA", "GGGTACA"]
+    # B = 15 * 8 = 120 < 2^7
+    assert packed_width(items, uniform_costs("ACGT", 8.0)) == 8
+    assert packed_width(items, uniform_costs("ACGT", 8)) == 8
+    big = uniform_costs("ACGT", 2 ** 53 + 1)
+    # three substitutions, summed exactly and rounded once
+    three = metrics.edit_distance("AAA", "CCC", big)
+    assert three == float(3 * (2 ** 53 + 1)) != 3 * float(2 ** 53 + 1)
+    assert_weighted_scan_matches(items, big, (None,))
+
+
+def test_tenth_plus_fifth_is_three_tenths_on_both_routes():
+    """0.1 + 0.2 is 0.30000000000000004 in floats; the scans sum the
+    exact decimals and round once."""
+    costs = EditCostTable({("A", "C"): 0.1, ("G", "T"): 0.2})
+    assert metrics.edit_distance("AG", "CT", costs) == 0.3
+    packed = ["AG", "CT", "GG"]
+    ragged = packed + ["A"]
+    assert packed_width(packed, costs) is not None
+    assert packed_width(ragged, costs) is None
+    for items in (packed, ragged):
+        got = metrics.min_edit_pairwise(items, costs)
+        assert (got.minimum, got.pair) == (0.3, (0, 1))
 
 
 def test_min_nonzero_weights_match_pairwise_distance():
