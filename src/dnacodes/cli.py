@@ -275,7 +275,8 @@ def _verify(cfg: JobConfig, report: Report) -> None:
     is over the guard, check the enumerated rc-closure against the
     algebraic one, and run the Gray checks and the distance scans that
     --metric asks for.  Lee weights and the edit bounds are r64 only;
-    f2v edit scans are nucleotide-level."""
+    r64's Lee minimum is its Hamming minimum, read off the same checked
+    witness.  f2v edit scans are nucleotide-level."""
     r64 = cfg.ring == "r64"
     level = cfg.level or "nucleotide"
     costs = load_costs(cfg, level)
@@ -319,10 +320,12 @@ def _verify(cfg: JobConfig, report: Report) -> None:
         if cfg.dna_d is not None:
             raise UsageError("--dna-d needs a code of at least two words")
         return
-    if cfg.metric in ("hamming", "all"):
-        report.emit("min_hamming", code.min_hamming(words, cfg.guard))
-    if r64 and cfg.metric in ("lee", "all"):
-        report.emit("min_lee", code.min_lee(words, cfg.guard))
+    if cfg.metric != "edit":
+        d = code.min_hamming(words, cfg.guard)
+        if cfg.metric != "lee":
+            report.emit("min_hamming", d)
+        if r64 and cfg.metric != "hamming":
+            report.emit("min_lee", d)
     edit = cfg.metric in ("edit", "all")
     bounds = edit and r64
     # the report keys that the one all-pairs edit scan feeds

@@ -247,6 +247,14 @@ def closed_under(
     return all(span.contains(f(b)) for b in basis)
 
 
+def _certified_basis(words: Sequence[int]) -> tuple[int, ...]:
+    """linear_basis of the words; RuntimeError if it refuses them."""
+    basis = linear_basis(words) if isinstance(words, Sequence) else None
+    if basis is None:
+        raise RuntimeError("the words are not a certified span listing")
+    return basis
+
+
 class LinearCode:
     """An F2-linear code of packed words, held as a cached echelon basis.
 
@@ -258,7 +266,8 @@ class LinearCode:
     module_generators, generators_self_reciprocal and
     min_hamming_witness: (d, w), the least nonzero Hamming weight and a
     word of it, read off a small binary subcode (the socle for r64, the
-    idempotent components for F2+vF2) with no scan of the words.
+    idempotent components for F2+vF2) with no scan of the words.  For
+    r64 the same witness also gives the least Lee weight.
 
     The code is the smallest F2-space that holds the generator words
     and is closed under the two F2-linear maps of module_generators:
@@ -354,12 +363,6 @@ class LinearCode:
         GuardExceeded when too big."""
         return self._echelon.span(guard)
 
-    def contains_code(self, other: "LinearCode") -> bool:
-        return all(self.contains(b) for b in other.basis())
-
-    def same_words_as(self, other: "LinearCode") -> bool:
-        return self.dim == other.dim and self.contains_code(other)
-
     # -- reverse-complement structure ----------------------------------------
 
     def contains_complement_word(self) -> bool:
@@ -443,23 +446,19 @@ def rc_closed_extensional(
     is not among them, or None if there is none.
 
     Word 0's image is looked up first, so a code that is not closed
-    under rc(0) = the complement word stops at once.  A list that
-    linear_basis certifies is then decided from its rows words[2^j]:
-    it holds rc(0), and rc(w) = reverse(w) ^ rc(0) with reverse
-    F2-linear, so the words whose image is a member form a subspace.
-    It holds the words below index 2^j iff it holds rows 0..j-1, so
-    the least witness is the first row whose reverse leaves the span.
-    Other lists are walked word by word by binary search (has_word).
+    under rc(0) = the complement word stops at once.  The list must
+    then be certified (_certified_basis), and is decided from its rows
+    words[2^j]: it holds rc(0), and rc(w) = reverse(w) ^ rc(0) with
+    reverse F2-linear, so the words whose image is a member form a
+    subspace.  It holds the words below index 2^j iff it holds rows
+    0..j-1, so the least witness is the first row whose reverse leaves
+    the span.
     """
     n, lanes = code.n, code.lanes
-    if words and not has_word(words, lanes.word_reverse_complement(words[0], n)):
+    if (words and isinstance(words, Sequence)
+            and not has_word(words, lanes.word_reverse_complement(words[0], n))):
         return False, words[0]
-    basis = linear_basis(words)
-    if basis is None:
-        for w in words:
-            if not has_word(words, lanes.word_reverse_complement(w, n)):
-                return False, w
-        return True, None
+    basis = _certified_basis(words)
     span = Echelon(basis)
     for j in range(len(basis)):
         if not span.contains(lanes.word_reverse(words[1 << j], n)):
@@ -512,9 +511,6 @@ class TorsionProfile(NamedTuple):
     k: tuple[int, ...]
     rank: int
     log2_size: int
-
-    def size(self) -> int:
-        return 1 << self.log2_size
 
 
 class CyclicCodeR(LinearCode):
@@ -664,7 +660,7 @@ class CyclicCodeR(LinearCode):
     def rank(self) -> int:
         return self.torsion_profile.rank
 
-    def socle_min_hamming(self, guard: int = DEFAULT_GUARD) -> tuple[int, int]:
+    def min_hamming_witness(self, guard: int) -> tuple[int, int]:
         """The minimum Hamming weight of a nonzero word and one word of
         that weight, from the socle C ∩ u^5 R^n (Norton & Salagean, IEEE
         Trans. IT 46(3), 2000): for c != 0 and the largest j with
@@ -677,19 +673,15 @@ class CyclicCodeR(LinearCode):
         v = least_weight_word(rows, guard)
         return v.bit_count(), levelmajor_to_word(v, n)
 
-    min_hamming_witness = socle_min_hamming
-
-    def min_lee(self, words: Sequence[int], guard: int) -> int:
-        """The least Lee weight (popcount) of a nonzero word: min_hamming,
-        with the socle witness's popcount checked to equal it too.  A
-        popcount is at least the Hamming weight, and every nonzero
-        coordinate of a socle word is u^5, one bit, so the two minima
-        agree."""
-        d, witness = self.socle_min_hamming(guard)
-        self._check_witness(words, d, witness)
+    def _check_witness(
+        self, words: Sequence[int], d: int, witness: int
+    ) -> None:
+        """Also check the popcount, so d is the Lee minimum too: a popcount
+        is at least the Hamming weight, and a socle word's coordinates
+        are 0 or u^5, one bit."""
+        super()._check_witness(words, d, witness)
         if witness.bit_count() != d:
             raise RuntimeError(f"socle minimum {d} is not a Lee minimum")
-        return d
 
     def size_formula_odd(self) -> int:
         """prod 2^(n - deg fi) for an odd-length tower."""
@@ -774,16 +766,20 @@ def subcode_u2(code: CyclicCodeR) -> CyclicCodeR:
 
 
 def subcode_u2_report(code: CyclicCodeR) -> SubcodeU2Report:
+    """The claim <u^2 f5>, unbuilt: the ideal C holds it iff C holds
+    u^2 f5, and it is <f5> (dim n - deg f5) at each of levels 2..5; it
+    is the subcode iff it lies in C and both have log2 size 4(n - deg f5)."""
     if code.tower is None:
         raise ValueError("report needs a tower description")
+    n, f5 = code.n, code.tower[5]
     sub = subcode_u2(code)
-    f5 = code.tower[5]
-    claim = single_generator_code(code.n, 2, f5)
+    claim_log2 = 4 * (n - f5.degree)
+    inside = code.contains(ring64.word_from_poly(f5.value, n, level=2))
     return SubcodeU2Report(
         subcode_log2_size=sub.dim,
-        claim_log2_size=claim.dim,
-        claim_inside_code=code.contains_code(claim),
-        equal=sub.same_words_as(claim),
+        claim_log2_size=claim_log2,
+        claim_inside_code=inside,
+        equal=inside and sub.dim == claim_log2,
         f5=str(f5),
     )
 
@@ -812,8 +808,8 @@ class DnaClassification(NamedTuple):
 
 
 def codon_symbols(word: int, n: int) -> tuple[str, ...]:
-    table = codons.canonical_table()
-    return tuple(table.codon(x) for x in ring64.WORDS.unpack_word(word, n))
+    cod = codons.canonical_table().codon_of_element
+    return tuple([cod[x] for x in ring64.WORDS.unpack_word(word, n)])
 
 
 def classify_dna_code(
@@ -850,22 +846,18 @@ class GrayImageReport(NamedTuple):
 
 
 def gray_image_report(
-    image: Iterable[int],
+    image: Sequence[int],
     bit_length: int,
     maps: dict[str, Callable[[int], int]],
 ) -> GrayImageReport:
-    """Whether the image words (distinct, bit_length bits each) form an
-    F2-subspace, and whether each of the F2-linear maps sends them into
-    themselves.  The words may come in any order; a sequence that
-    linear_basis certifies as it stands, such as LinearCode.words or a
-    linear image of it in the same order, is checked uncopied."""
-    basis = linear_basis(image) if isinstance(image, Sequence) else None
-    if basis is None:
-        image = sorted(image)
-        basis = linear_basis(image)
+    """The image words (bit_length bits each) form an F2-subspace, and
+    whether each of the F2-linear maps sends them into themselves.  The
+    image must be certified (_certified_basis), as LinearCode.words and
+    a linear image of it in the same order are; it is checked uncopied."""
+    basis = _certified_basis(image)
     return GrayImageReport(
         bit_length=bit_length,
-        linear=basis is not None,
+        linear=True,
         closed={name: closed_under(image, f, basis) for name, f in maps.items()},
     )
 

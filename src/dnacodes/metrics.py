@@ -11,6 +11,7 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import (
     Callable, Collection, Hashable, Iterable, Iterator, NamedTuple, Sequence,
@@ -407,6 +408,7 @@ def _unit_blocks(
         yield rows, bounds, column
 
 
+@lru_cache(maxsize=None, typed=True)
 def _ratio(cost: float) -> tuple[int, int]:
     """cost as p / q in lowest terms: a float as its repr, the shortest
     decimal that reads back as it (0.1 is 1/10), anything else exactly."""

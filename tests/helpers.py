@@ -10,10 +10,13 @@ distance DP, the reference for the library's bit-parallel unit-cost kernel
 and, summing each cost's decimal as a Fraction, for its scaled-int
 weighted DP.  reference_gray_report is the Gray image
 report by an Echelon over every word plus a per-word closure loop for
-each named map, the reference for the library's basis certificates.
+each named map, the reference for the library's basis certificates, and
+is_index_span tells by doubling which listings those certify.
 subcode_u2_by_spanning builds the u^2 subcode's echelon from the shifts
 and u-multiples of its generators, the reference for the library's
-echelon read straight off the level-major rows.  full_orbit_words lists
+echelon read straight off the level-major rows, and
+subcode_u2_report_by_claim builds the claim <u^2 f5> as a code, the
+reference for the library's report from one membership.  full_orbit_words lists
 every shift of every orbit start of a code, the reference for the
 library's orbit walk, which stops at the first spanned shift.
 span_by_doubling is the span as a list doubled a row at a time, the
@@ -128,6 +131,23 @@ def reference_gray_report(image, bit_length, maps):
             name: all(f(y) in image for y in image) for name, f in maps.items()
         },
     )
+
+
+def is_index_span(words):
+    """Whether the words are 2^k distinct words listed, in order, as
+    word i = the XOR of words[2^j] over the set bits j of i: the
+    listings cyclic.linear_basis certifies.  A set has no order and is
+    never one."""
+    if isinstance(words, (set, frozenset)):
+        return False
+    words = list(words)
+    size = len(words)
+    if not size or size & (size - 1) or len(set(words)) < size:
+        return False
+    out = [0]
+    for j in range(size.bit_length() - 1):
+        out += [w ^ words[1 << j] for w in out]
+    return out == words
 
 
 def span_by_doubling(rows):
@@ -271,6 +291,26 @@ def subcode_u2_by_spanning(code):
         if row < 1 << (4 * n)
     ]
     return cyclic.CyclicCodeR(n, gens)
+
+
+def subcode_u2_report_by_claim(code):
+    """cyclic.subcode_u2_report with the claim built as a code,
+    single_generator_code(n, 2, f5): its size its dim, inside the code
+    iff every claim basis row is, and equal to the u^2 subcode iff of one
+    dim with it and inside it."""
+    from dnacodes import cyclic
+
+    f5 = code.tower[5]
+    claim = cyclic.single_generator_code(code.n, 2, f5)
+    sub = cyclic.subcode_u2(code)
+    return cyclic.SubcodeU2Report(
+        subcode_log2_size=sub.dim,
+        claim_log2_size=claim.dim,
+        claim_inside_code=all(code.contains(b) for b in claim.basis()),
+        equal=(sub.dim == claim.dim
+               and all(sub.contains(b) for b in claim.basis())),
+        f5=str(f5),
+    )
 
 
 def full_orbit_words(code):

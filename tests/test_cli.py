@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dnacodes import cli, codons, metrics, skew
+from dnacodes import cli, codons, cyclic, metrics, skew
 from dnacodes.cli import JobConfig, UsageError
 from helpers import src_env
 
@@ -100,6 +100,39 @@ def test_weight_minima_make_no_word_scan(capsys, monkeypatch, name):
     code, out, _ = run(capsys, *argv)
     assert code == exit_code
     assert out == (EXPECTED / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", ["r64_n9_all_dna", "r64_n7_rc_witness"])
+def test_r64_all_reads_one_witness_and_builds_no_second_code(
+    capsys, monkeypatch, name
+):
+    # --metric all prints min_hamming and min_lee off one socle witness,
+    # and the u^2 claim is decided by one membership, not built as a code
+    spans = []
+    least = cyclic.least_weight_word
+
+    def counted(rows, guard):
+        spans.append(guard)
+        return least(rows, guard)
+
+    def refuse(*args):
+        raise AssertionError("a second code was built")
+
+    build = cli.build_code
+
+    def build_then_refuse(cfg):
+        code = build(cfg)
+        monkeypatch.setattr(cyclic, "single_generator_code", refuse)
+        return code
+
+    monkeypatch.setattr(cyclic, "least_weight_word", counted)
+    monkeypatch.setattr(cli, "build_code", build_then_refuse)
+    exit_code, argv = {n: (c, a) for n, c, a in PINNED}[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert out == (EXPECTED / f"{name}.txt").read_text()
+    assert "min_hamming: " in out and "min_lee: " in out
+    assert len(spans) == 1
 
 
 @pytest.mark.parametrize("module", ["dnacodes", "dnacodes.cli"])

@@ -28,12 +28,14 @@ from helpers import (
     closure_r_words,
     full_orbit_words,
     gray_report_inputs,
+    is_index_span,
     rc_by_tuples,
     rc_closed_by_word,
     reference_gray_report,
     span_by_doubling,
     src_env,
     subcode_u2_by_spanning,
+    subcode_u2_report_by_claim,
 )
 
 
@@ -290,7 +292,7 @@ def test_subcode_u2_is_a_subcode():
     for polys in rng.sample(towers, 10):
         code = CyclicCodeR.from_tower(5, polys)
         sub = cyclic.subcode_u2(code)
-        assert code.contains_code(sub)
+        assert all(code.contains(b) for b in sub.basis())
         mask = 0b11 * (1 + (1 << 6) + (1 << 12) + (1 << 18) + (1 << 24))
         for w in sub.basis():  # linear condition, basis check suffices
             assert w & mask == 0  # every coordinate in <u^2>
@@ -307,6 +309,28 @@ def test_subcode_u2_basis_matches_the_spanning_construction():
             assert sub.basis() == subcode_u2_by_spanning(code).basis(), code
             checked += 1
     assert checked == 441
+
+
+def test_subcode_u2_report_matches_the_built_claim(monkeypatch):
+    # every odd tower at n = 3, 5, 7 and every even single-generator
+    # code at n = 2..10, against the claim built as a code; the report
+    # itself builds none
+    codes = [CyclicCodeR.from_tower(n, polys)
+             for n in (3, 5, 7) for polys in iter_admissible_towers(n)]
+    codes += [single_generator_code(n, level, f)
+              for n in (2, 4, 6, 8, 10) for f in divisors_of_xn_minus_1(n)
+              for level in range(6)]
+    assert len(codes) == 441 + 210
+    wants = [subcode_u2_report_by_claim(code) for code in codes]
+
+    def refuse(*args):
+        raise AssertionError("the claim was built as a code")
+
+    monkeypatch.setattr(cyclic, "single_generator_code", refuse)
+    for code, want in zip(codes, wants):
+        assert cyclic.subcode_u2_report(code) == want, code
+    # both outcomes: the claim is the u^2 subcode for 216 of the codes
+    assert sum(want.equal for want in wants) == 216
 
 
 def test_gray_image_report_linear_and_shift_closed():
@@ -423,8 +447,9 @@ def test_contains_and_spanning_words():
 
 def test_gray_report_matches_reference_on_codes_and_non_codes():
     # the basis certificate against an Echelon over every word and a
-    # per-word shift loop, on linear sets in any order and on sets that
-    # break linearity in each way the certificate tests
+    # per-word shift loop on the one certified listing, the code's own
+    # words; every other listing (reordered, cut, grown, with a word
+    # swapped for an outsider, or a set) is refused with RuntimeError
     codes = [
         single_generator_code(3, 2, Gf2Poly.from_string("x+1")),
         single_generator_code(5, 5, Gf2Poly.from_string("1")),
@@ -435,11 +460,18 @@ def test_gray_report_matches_reference_on_codes_and_non_codes():
         # the shuffled and swapped ones lists
         assert isinstance(code.words(), array)
         maps = code.gray_maps()
+        certified = []
         for label, inputs in gray_report_inputs(code, 6 * code.n):
             image = code.gray_image(inputs)
+            if not is_index_span(image):
+                with pytest.raises(RuntimeError):
+                    cyclic.gray_image_report(image, 6 * code.n, maps)
+                continue
             got = cyclic.gray_image_report(image, 6 * code.n, maps)
             assert got == reference_gray_report(image, 6 * code.n, maps), (
                 code, label)
+            certified.append(label)
+        assert certified == ["sorted"], code
 
 
 def test_gray_report_on_linear_sets_that_are_not_shift_closed():
@@ -450,13 +482,13 @@ def test_gray_report_on_linear_sets_that_are_not_shift_closed():
     for dim in (1, 1, 1, 2, 2, 3, 5):
         vectors = [rng.getrandbits(6 * n) for _ in range(dim)]
         words = Echelon(vectors).span()
-        for inputs in (sorted(words), words, set(words)):
+        for inputs in (sorted(words), words):
             got = cyclic.gray_image_report(inputs, 6 * n, maps)
             want = reference_gray_report(inputs, 6 * n, maps)
             assert got == want
             assert got.linear
             checked += not got.closed["shift6"]
-    assert checked >= 15
+    assert checked >= 10
 
 
 def test_linear_basis_and_closed_under():
@@ -492,7 +524,7 @@ def test_linear_basis_and_closed_under():
 
 def _socle_matches_scan(code):
     words = code.words(2**16)
-    d, witness = code.socle_min_hamming()
+    d, witness = code.min_hamming_witness(2**16)
     assert d == metrics.min_nonzero_hamming_weight(
         words, code.n, code.lanes
     ), code
@@ -553,7 +585,7 @@ def test_min_lee_is_the_socle_minimum():
     for code in codes:
         words = code.words(2**16)
         want = metrics.min_nonzero_lee_weight(words, code.n)
-        assert code.min_lee(words, 2**16) == want, code
+        assert code.min_hamming(words, 2**16) == want, code
 
 
 def test_weight_minima_need_an_enumerated_witness(monkeypatch):
@@ -576,13 +608,15 @@ def test_weight_minima_need_an_enumerated_witness(monkeypatch):
                 code.min_hamming(words, 2**16)
     code = codes[0]
     words = code.words()
-    d, witness = code.socle_min_hamming()
-    assert code.min_lee(words, 2**16) == d
-    # one more bit in the witness's lowest nonzero coordinate
+    d, witness = code.min_hamming_witness(2**16)
+    # one more bit in the witness's lowest nonzero coordinate: the same
+    # Hamming weight, listed among the words, but a popcount of d + 1
     heavier = witness | (witness & -witness) >> 1
-    monkeypatch.setattr(code, "socle_min_hamming", lambda guard: (d, heavier))
-    with pytest.raises(RuntimeError):
-        code.min_lee(words, 2**16)
+    listed = array("Q", sorted({*words, heavier}))
+    assert code.lanes.word_hamming_weight(heavier, code.n) == d
+    monkeypatch.setattr(code, "min_hamming_witness", lambda guard: (d, heavier))
+    with pytest.raises(RuntimeError, match="not a Lee minimum"):
+        code.min_hamming(listed, 2**16)
 
 
 def _linear_basis_both(words):
@@ -753,7 +787,12 @@ def test_rc_chunked_matches_per_word_check_across_chunks(code):
         for listing in (dropped, flipped):
             want = rc_closed_by_word(code, listing)
             assert want[0] is False
-            assert cyclic.rc_closed_extensional(code, listing) == want, i
+            # not a span: refused, unless word 0's image is missing
+            if want[1] == listing[0]:
+                assert cyclic.rc_closed_extensional(code, listing) == want, i
+            else:
+                with pytest.raises(RuntimeError):
+                    cyclic.rc_closed_extensional(code, listing)
             late_witnesses += want[1] >= words[4096]
     assert late_witnesses  # some witness lies past the first chunk
 
@@ -823,8 +862,8 @@ def test_rc_routes_keep_the_per_word_result_on_other_lists(
 ):
     # lists other than the code's words: a sub-span (a prefix of 2^k
     # words) is certified and takes the basis route, with no search past
-    # word 0's image; any other list is walked word by word, searching
-    # up to its witness
+    # word 0's image; any other list stops at that search if the image
+    # is missing, and is refused with RuntimeError if not
     rng = random.Random(23)
     words = code.words()
     pairs = _rc_pair_list(code, 2**13, rng)
@@ -845,14 +884,55 @@ def test_rc_routes_keep_the_per_word_result_on_other_lists(
     for label, listing in listings.items():
         want = rc_closed_by_word(code, listing)
         del calls[:]
-        assert cyclic.rc_closed_extensional(code, listing) == want, label
         if want[1] == listing[0] or cyclic.linear_basis(listing):
-            assert len(calls) == 1, label
-        elif want[0]:
-            assert len(calls) == 1 + len(listing), label
+            assert cyclic.rc_closed_extensional(code, listing) == want, label
         else:
-            assert len(calls) == 2 + listing.index(want[1]), label
+            with pytest.raises(RuntimeError):
+                cyclic.rc_closed_extensional(code, listing)
+        assert len(calls) == 1, label
     assert cyclic.linear_basis(listings["first 4096 words"])
+
+
+def _uncertified_listings(code, rng):
+    """The code's words shuffled, with a word dropped, flipped to a word
+    outside the code, or trading places with the next, and as a set."""
+    words = code.words()
+    i = len(words) // 2 + 3
+    flip = next(words[i] ^ 1 << b for b in range(64)
+                if not code.contains(words[i] ^ 1 << b))
+    shuffled = list(words)
+    rng.shuffle(shuffled)
+    yield "shuffled", shuffled
+    yield "dropped", words[:i] + words[i + 1 :]
+    yield "flipped", array("Q", sorted([*words[:i], flip, *words[i + 1 :]]))
+    yield "swapped", array("Q", [*words[:i], words[i + 1], words[i],
+                                 *words[i + 2 :]])
+    yield "set", set(words)
+
+
+def test_uncertified_listings_are_internal_errors():
+    # both checks take only listings linear_basis certifies; the rc
+    # check still answers first from the lookup of word 0's image
+    rng = random.Random(32)
+    codes = (*_CHUNKED_RC_CODES, table3_code(),
+             skew.SkewCode(8, [skew.parse_skew_poly("x^2+v*x+1")]))
+    refused = looked_up = 0
+    for code in codes:
+        n, rc = code.n, code.lanes.word_reverse_complement
+        bits, maps = code.lanes.lane * n, code.gray_maps()
+        for label, listing in _uncertified_listings(code, rng):
+            with pytest.raises(RuntimeError):
+                cyclic.gray_image_report(listing, bits, maps)
+            if (not isinstance(listing, set)
+                    and not cyclic.has_word(listing, rc(listing[0], n))):
+                got = cyclic.rc_closed_extensional(code, listing)
+                assert got == (False, listing[0]), (code, label)
+                looked_up += 1
+                continue
+            with pytest.raises(RuntimeError):
+                cyclic.rc_closed_extensional(code, listing)
+            refused += 1
+    assert refused >= 10 and looked_up >= 3, (refused, looked_up)
 
 
 class _SpanCode(cyclic.LinearCode):

@@ -593,6 +593,31 @@ def test_cost_ratio_is_the_exact_decimal_in_lowest_terms():
     assert_weighted_scan_matches(items, big, (None,))
 
 
+def test_scaled_costs_parse_each_distinct_cost_once():
+    """A table's pairs share few costs, most the default 1.0: each
+    distinct value and type is parsed once (8 and 8.0 apart, and 2**60
+    apart from 2.0**60, which reads as 1152921504606847000), and the
+    scaled costs are those of a parse per pair."""
+    costs = EditCostTable({
+        ("A", "C"): 8, ("C", "A"): 8.0, ("G", "T"): 2 ** 60,
+        ("T", "G"): 2.0 ** 60, ("A", "-"): 0.1, ("-", "A"): 0.1,
+        ("C", "G"): 1.0,
+    })
+    items = ["ACGT", "TGCA", "GATC"]
+    metrics._ratio.cache_clear()
+    denominator, scaled = metrics._scaled_costs(items, costs)
+    pairs = [(a, b) for a in "ACGT-" for b in "ACGT-"]
+    distinct = {(type(c), c) for c in (costs.cost(a, b) for a, b in pairs)}
+    assert len(distinct) == 7
+    assert metrics._ratio.cache_info().misses == len(distinct)
+    parse = metrics._ratio.__wrapped__
+    ratios = {key: parse(costs.cost(*key)) for key in pairs}
+    assert denominator == math.lcm(*(q for _, q in ratios.values())) == 10
+    assert scaled == {key: p * (denominator // q)
+                      for key, (p, q) in ratios.items()}
+    assert scaled["G", "T"] == 10 * 2 ** 60 != scaled["T", "G"]
+
+
 def test_tenth_plus_fifth_is_three_tenths_on_both_routes():
     """0.1 + 0.2 is 0.30000000000000004 in floats; the scans sum the
     exact decimals and round once."""

@@ -14,6 +14,7 @@ from helpers import (
     closure_skew_words,
     full_orbit_words,
     gray_report_inputs,
+    is_index_span,
     reference_gray_report,
     reference_poly_right_divmod,
 )
@@ -514,7 +515,10 @@ def test_search_codes_containing_finds_known_code():
 
 def test_gray_report_matches_reference_on_codes_and_non_codes():
     # the basis certificate against an Echelon over the whole image and
-    # per-word loops for all three shifts
+    # per-word loops for all three shifts, on the certified images: the
+    # code's words mapped in order, and the sorted images of the lists
+    # and the set that hold exactly its words; every other image is
+    # refused with RuntimeError
     codes = [
         SkewCode.from_case3(2, (V,)),
         SkewCode.from_case1(4, skew.parse_skew_poly("x^2+1")),
@@ -523,11 +527,19 @@ def test_gray_report_matches_reference_on_codes_and_non_codes():
     ]
     for code in codes:
         n, maps = code.n, code.gray_maps()
+        certified = []
         for label, inputs in gray_report_inputs(code, 2 * n):
-            got = cyclic.gray_image_report(code.gray_image(inputs), 2 * n, maps)
+            mapped = code.gray_image(inputs)
+            if not is_index_span(mapped):
+                with pytest.raises(RuntimeError):
+                    cyclic.gray_image_report(mapped, 2 * n, maps)
+                continue
+            got = cyclic.gray_image_report(mapped, 2 * n, maps)
             image = {skew.gray_image(w, n) for w in inputs}
             assert got == reference_gray_report(image, 2 * n, maps), (
                 code, label)
+            certified.append(label)
+        assert certified == ["sorted", "shuffled", "set"], code
 
 
 def test_gray_report_on_linear_sets_that_are_not_shift_closed():
