@@ -28,8 +28,8 @@ from .gf2poly import Gf2Poly, GuardExceeded, factor_xn_minus_1, split_top_level
 # above this many words build-verify skips its edit scans unless --metric edit
 EDIT_SCAN_MAX_WORDS = 1024
 # above this many words it skips them even then: the all-pairs scan is
-# quadratic, and a weighted nucleotide scan of 4096 words takes about
-# 30 s on a 2-vCPU VM
+# quadratic, and a weighted nucleotide scan of 4096 words takes 26-40 s
+# on a 2-vCPU VM (Python 3.11)
 EDIT_SCAN_CEILING = 4096
 
 
@@ -276,7 +276,8 @@ def _verify(cfg: JobConfig, report: Report) -> None:
     algebraic one, and run the Gray checks and the distance scans that
     --metric asks for.  Lee weights and the edit bounds are r64 only;
     r64's Lee minimum is its Hamming minimum, read off the same checked
-    witness.  f2v edit scans are nucleotide-level."""
+    witness, and its unit-cost codon edit minimum and edit bounds read
+    CyclicCodeR.min_edit_codon.  f2v edit scans are nucleotide-level."""
     r64 = cfg.ring == "r64"
     level = cfg.level or "nucleotide"
     costs = load_costs(cfg, level)
@@ -343,18 +344,19 @@ def _verify(cfg: JobConfig, report: Report) -> None:
         for key in uses:
             report.emit(key, f"skipped for {len(words)} words; {skip}")
         return
-    items = ("".join(code.dna_texts(words)).splitlines()
-             if level == "nucleotide"
-             else [cyclic.codon_symbols(w, n) for w in words])
-    scan = metrics.min_edit_pairwise(items, costs)
+    # r64's unit-cost codon minimum is read off a checked pair of words;
+    # every other minimum, and --dna-d's maximum, takes the all-pairs scan
+    witnessed = r64 and level == "codon" and costs is None
+    if not witnessed or cfg.dna_d is not None:
+        items = ("".join(code.dna_texts(words)).splitlines()
+                 if level == "nucleotide"
+                 else [cyclic.codon_symbols(w, n) for w in words])
+        scan = metrics.min_edit_pairwise(items, costs)
     if edit:
-        report.emit(f"min_edit_{level}", scan.minimum)
+        report.emit(f"min_edit_{level}", code.min_edit_codon(words)
+                    if witnessed else scan.minimum)
     if bounds:
-        # the bound check's own codon scan, unless the run's scan is it
-        codon_scan = level == "codon" and costs is None
-        bound = cyclic.edit_bound_check(
-            code, words, scan=scan if codon_scan else None
-        )
+        bound = cyclic.edit_bound_check(code, words)
         report.check(
             "edit_bounds",
             bound.holds,

@@ -683,6 +683,45 @@ class CyclicCodeR(LinearCode):
         if witness.bit_count() != d:
             raise RuntimeError(f"socle minimum {d} is not a Lee minimum")
 
+    def min_edit_codon(self, words: Sequence[int]) -> int:
+        """The least unit-cost edit distance between the codon texts of
+        two of the code's enumerated words (ascending), read off one
+        pair of words with no pair scan.
+
+        Between words of one length it is 1 iff they differ in one
+        symbol (Levenshtein, Soviet Physics Doklady 10(8), 1966), and
+        the code holds shift(w) with w, at most 2 from it (delete the
+        last codon, insert it in front).  A word of Hamming weight 1
+        exists iff the socle holds one, so iff the socle, a binary
+        cyclic code, is all of F2^n (torsion level 5 has dimension n)
+        and holds u^5.  So the minimum is 1, by (0, u^5); else 2 if a
+        basis row r moves under the shift, by (r, shift(r)); else every
+        word is constant and it is n, by 0 and a row.  The pair is
+        looked up among the words and measured by one unit-cost DP.
+        Raises RuntimeError if either fails or the words are not as
+        many as the code's, and ValueError for a code of one word.
+        """
+        n, shift = self.n, self.lanes.word_shift
+        rows = self.basis()
+        if not rows:
+            raise ValueError("need at least two words")
+        if len(words) != self.size():
+            raise RuntimeError(f"{len(words)} words listed for {self}")
+        moving = [r for r in rows if shift(r, n) != r]
+        if not moving:
+            d, pair = n, (0, rows[0])
+        elif self.torsion_profile.levels[5].dim == n:
+            d, pair = 1, (0, ring64.word_from_poly(1, n, level=5))
+        else:
+            d, pair = 2, (moving[0], shift(moving[0], n))
+        x, y = pair
+        # the unit-cost DP itself: edit_distance calls are scan pairs
+        if not (has_word(words, x) and has_word(words, y)
+                and metrics._unit_edit_distance(codon_symbols(x, n),
+                                                codon_symbols(y, n)) == d):
+            raise RuntimeError(f"codon edit minimum {d} has no enumerated pair")
+        return d
+
     def size_formula_odd(self) -> int:
         """prod 2^(n - deg fi) for an odd-length tower."""
         if self.tower is None or self.n % 2 == 0:
@@ -866,15 +905,12 @@ def gray_image_report(
 
 
 class EditBoundCheck(NamedTuple):
-    min_edit: float
-    min_edit_exact: bool
+    min_edit: int
     bound_min_degree: int
     bound_singleton: int
 
     @property
     def holds(self) -> bool:
-        # min_edit is an upper bound on the true minimum even when the
-        # scan stopped early, so <= here is always sound
         return (
             self.min_edit <= self.bound_min_degree
             and self.min_edit <= self.bound_singleton
@@ -882,37 +918,20 @@ class EditBoundCheck(NamedTuple):
 
 
 def edit_bound_check(
-    code: CyclicCodeR,
-    words: Sequence[int],
-    scan: metrics.MinResult | None = None,
+    code: CyclicCodeR, words: Sequence[int]
 ) -> EditBoundCheck:
     """Codon-level minimum edit distance of the code's enumerated words
-    against the two structural bounds: min deg(fi) + 1 and n - rank + 1.
-
-    The pair scan stops as soon as the bounds are certified; pass the
-    full unit-cost scan of the words' codon symbols as scan to read it
-    instead of scanning.  The check holds either way for the same
-    codes: a scan that stops early has met the bounds, which the full
-    minimum, no larger, meets too, and one that never stops is the
-    full scan.
-    """
+    (code.min_edit_codon) against the two structural bounds:
+    min deg(fi) + 1 and n - rank + 1."""
     if code.tower is None:
         raise ValueError("bound check needs a tower description")
     min_deg = min(
         f.degree for f in code.tower if f.degree is not None
     )
-    bound_deg = min_deg + 1
-    bound_single = code.n - code.rank() + 1
-    if scan is None:
-        scan = metrics.min_edit_pairwise(
-            [codon_symbols(w, code.n) for w in words],
-            upper_bound=min(bound_deg, bound_single),
-        )
     return EditBoundCheck(
-        min_edit=scan.minimum,
-        min_edit_exact=scan.exhaustive,
-        bound_min_degree=bound_deg,
-        bound_singleton=bound_single,
+        min_edit=code.min_edit_codon(words),
+        bound_min_degree=min_deg + 1,
+        bound_singleton=code.n - code.rank() + 1,
     )
 
 

@@ -178,12 +178,9 @@ def hamming_distance(x: Sequence[Hashable], y: Sequence[Hashable]) -> int:
 
 class MinResult(NamedTuple):
     """Minimum pairwise distance plus one witnessing pair, and the
-    maximum over the pairs scanned.
-
-    With an early exit the minimum is only an upper bound on the true
-    minimum (and the maximum a lower bound on the true maximum);
-    ``exhaustive`` says whether every pair was scanned, and ``pairs``
-    counts the pairs compared: k(k-1)/2 for k items when exhaustive.
+    maximum, over all pairs; ``pairs`` counts them: k(k-1)/2 for k
+    items.  Every scan is full, so ``exhaustive`` is always True; it
+    stays because bench/tracer.py reads it to count early exits.
     """
 
     minimum: float
@@ -194,17 +191,9 @@ class MinResult(NamedTuple):
     pairs: int
 
 
-def min_pairwise(
-    items: Sequence,
-    dist: Callable,
-    upper_bound: float | None = None,
-) -> MinResult:
+def min_pairwise(items: Sequence, dist: Callable) -> MinResult:
     """Minimum over all unordered pairs of distinct items, one row of
-    pairs (items[i] against each later item) per _scan_blocks block.
-
-    ``upper_bound`` allows stopping once a pair attains it (enough to
-    certify a <=-bound without the full quadratic scan).
-    """
+    pairs (items[i] against each later item) per _scan_blocks block."""
     k = len(items)
     if k < 2:
         raise ValueError("need at least two items")
@@ -213,9 +202,7 @@ def min_pairwise(
          [dist(items[i], items[j]) for j in range(i + 1, k)])
         for i in range(k - 1)
     )
-    return _scan_blocks(
-        rows, upper_bound, lambda v: v, lambda row: (min(row), max(row))
-    )
+    return _scan_blocks(rows, lambda v: v, lambda row: (min(row), max(row)))
 
 
 # (lane width, array/memoryview format of an unsigned int of that width)
@@ -227,10 +214,9 @@ _BLOCK = 1 << 12
 def min_edit_pairwise(
     items: Sequence[Sequence[Hashable]],
     costs: EditCostTable | None = None,
-    upper_bound: float | None = None,
 ) -> MinResult:
-    """min_pairwise(items, lambda a, b: edit_distance(a, b, costs),
-    upper_bound), field for field.
+    """min_pairwise(items, lambda a, b: edit_distance(a, b, costs)),
+    field for field.
 
     For items all of one length m >= 1, row i runs items[i] against
     every later item at once, one W-bit lane of an int per later item
@@ -247,14 +233,13 @@ def min_edit_pairwise(
     k = len(items)
     m = len(items[0]) if items else 0
     packs = k > 1 and m and all(len(x) == m for x in items)
-    blocks = _blocks(k, upper_bound is not None)
+    blocks = _blocks(k)
     if costs is None:
         if packs and m < 64:
             return _scan_blocks(
-                _unit_blocks(items, m, blocks), upper_bound, int,
-                _byte_extremes(m),
+                _unit_blocks(items, m, blocks), int, _byte_extremes(m)
             )
-        return min_pairwise(items, edit_distance, upper_bound)
+        return min_pairwise(items, edit_distance)
     denominator, scaled = _scaled_costs(items, costs)
     # every DP value is at most B; W-bit lanes need B < 2^(W - 1)
     bound = (2 * m + 1) * max(scaled.values())
@@ -262,37 +247,32 @@ def min_edit_pairwise(
     if packs and lane:
         return _scan_blocks(
             _weighted_blocks(items, m, scaled, *lane, blocks),
-            upper_bound, lambda v: v / denominator,
+            lambda v: v / denominator,
             lambda scores: (min(scores), max(scores)),
         )
     return min_pairwise(
         items,
         lambda x, y: _weighted_edit_distance(x, y, scaled) / denominator,
-        upper_bound,
     )
 
 
-def _blocks(k: int, bounded: bool) -> Iterator[tuple[range, list[int]]]:
+def _blocks(k: int) -> Iterator[tuple[range, list[int]]]:
     """The rows 0..k-2 of a packed scan of k items, as (rows, bounds)
     for each block of consecutive rows: row i holds the k-1-i lanes of
     its pairs, and rows[r] the lanes bounds[r]..bounds[r+1]-1 of its
-    block.  A block holds at most _BLOCK lanes, or one longer row.
-    Under an early-exit bound the first block is row 0 alone and the cap
-    doubles per block up to _BLOCK, so a scan that stops in its first
-    rows computes few rows past them."""
-    start, cap = 0, k - 1 if bounded else _BLOCK
+    block.  A block holds at most _BLOCK lanes, or one longer row."""
+    start = 0
     while start < k - 1:
         stop, bounds = start + 1, [0, k - 1 - start]
-        while stop < k - 1 and bounds[-1] + k - 1 - stop <= cap:
+        while stop < k - 1 and bounds[-1] + k - 1 - stop <= _BLOCK:
             bounds.append(bounds[-1] + k - 1 - stop)
             stop += 1
         yield range(start, stop), bounds
-        start, cap = stop, min(2 * cap, _BLOCK)
+        start = stop
 
 
 def _scan_blocks(
     blocks: Iterable[tuple[range, list[int], Sequence[int]]],
-    upper_bound: float | None,
     value: Callable[[int], float],
     extremes: Callable[[Sequence[int]], tuple[int, int]],
 ) -> MinResult:
@@ -302,24 +282,12 @@ def _scan_blocks(
     _blocks gives them, or one row per block for min_pairwise),
     extremes(scores) is their (min, max), and value(v) the distance a
     value stands for (exact and increasing, so values compare as the
-    distances do).  An early exit stops after the row of the first value
-    that meets the bound, and reads the block only up to that row's
-    end."""
+    distances do)."""
     best = top = None
     pair = (0, 1)
     hits = pairs = 0
-    stopped = False
     for rows, bounds, scores in blocks:
         low, high = extremes(scores)
-        stop = upper_bound is not None and value(low) <= upper_bound
-        if stop:
-            hit = next(t for t, v in enumerate(scores)
-                       if value(v) <= upper_bound)
-            r = bisect_right(bounds, hit) - 1
-            # rows follow unless this is the last, of one lane
-            stopped = bounds[r + 1] - bounds[r] > 1
-            bounds, scores = bounds[: r + 2], scores[: bounds[r + 1]]
-            low, high = extremes(scores)
         if best is None or low < best:
             t = scores.index(low)
             r = bisect_right(bounds, t) - 1
@@ -331,9 +299,7 @@ def _scan_blocks(
         if top is None or high > top:
             top = high
         pairs += len(scores)
-        if stop:
-            break
-    return MinResult(value(best), pair, hits, value(top), not stopped, pairs)
+    return MinResult(value(best), pair, hits, value(top), True, pairs)
 
 
 def _byte_extremes(m: int) -> Callable[[bytes], tuple[int, int]]:

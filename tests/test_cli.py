@@ -760,36 +760,39 @@ def test_main_parses_with_one_parser_and_keeps_nothing_between_calls(
 
 
 @pytest.mark.parametrize("fail", [False, True])
-def test_edit_bounds_read_off_the_codon_scan_as_off_their_own(
+def test_codon_edit_minimum_and_bounds_scan_no_pairs(
     capsys, monkeypatch, fail
 ):
-    """At the codon level without --costs build-verify scans the codon
-    symbols once and the bound check reads that scan; at the nucleotide
-    level the check makes its own early-exit codon scan.  Both report
-    the same check and failure lines, on a code that meets the bounds
-    and, with the singleton bound forced to 1 (rank n), on one that
-    does not."""
+    """At the codon level without --costs build-verify reads the edit
+    minimum and the bound check off the shift pair, with no pair scan;
+    at the nucleotide level it scans the nucleotide texts once, and the
+    bound check still scans nothing.  Both report the same check and
+    failure lines, on a code that meets the bounds and, with the
+    singleton bound forced to 1 (rank n), on one that does not."""
     if fail:
         monkeypatch.setattr(cli.cyclic.CyclicCodeR, "rank", lambda c: c.n)
-    bounds = []
-    scan = cli.metrics.min_edit_pairwise
-
-    def counted(items, costs=None, upper_bound=None):
-        bounds.append(upper_bound)
-        return scan(items, costs, upper_bound)
-
-    monkeypatch.setattr(cli.metrics, "min_edit_pairwise", counted)
+    scanned = []
+    for name in ("min_edit_pairwise", "min_pairwise"):
+        scan = getattr(cli.metrics, name)
+        monkeypatch.setattr(
+            cli.metrics, name,
+            lambda items, *args, name=name, scan=scan: (
+                scanned.append((name, len(items[0]))) or scan(items, *args)
+            ),
+        )
     lines = {}
-    own = [None, 1 if fail else 5]  # the cutoff: min of the two bounds
-    for level, scans in (("codon", [None]), ("nucleotide", own)):
-        bounds.clear()
+    for level, minimum, scans in (
+        ("codon", 2, []), ("nucleotide", 6, [("min_edit_pairwise", 21)]),
+    ):
+        scanned.clear()
         code, out, _ = run(
             capsys, "build-verify", "--ring", "r64", "-n", "7",
             "--gen", "u^4*(x+1)*(x^3+x+1)", "--metric", "edit",
             "--level", level,
         )
         assert code == int(fail)
-        assert bounds == scans
+        assert scanned == scans
+        assert f"min_edit_{level}: {minimum}" in out.splitlines()
         lines[level] = [l for l in out.splitlines() if "edit_bounds" in l]
     assert lines["codon"] == lines["nucleotide"]
     if fail:

@@ -344,50 +344,105 @@ def test_gray_image_report_linear_and_shift_closed():
         assert rep.bit_length == 42
 
 
+def full_codon_scan(code, words):
+    """The oracle: the all-pairs unit-cost scan of the words' codons."""
+    return metrics.min_edit_pairwise(
+        [cyclic.codon_symbols(w, code.n) for w in words]
+    )
+
+
 def test_edit_bound_check_frozen_family():
     prods = {"f0": F0, "f1": F1, "f2": F2, "f1*f2": F1 * F2,
              "f0*f1": F0 * F1, "f0*f2": F0 * F2}
-    exact_edit = {"f1": 2, "f2": 2, "f1*f2": 7, "f0*f1": 2, "f0*f2": 2}
+    exact_edit = {"f0": 2, "f1": 2, "f2": 2, "f1*f2": 7, "f0*f1": 2,
+                  "f0*f2": 2}
     bounds = {"f0": 2, "f1": 4, "f2": 4, "f1*f2": 7, "f0*f1": 5, "f0*f2": 5}
     for label, f in prods.items():
         code = single_generator_code(7, 4, f)
-        chk = cyclic.edit_bound_check(code, code.words(2**20))
+        words = code.words(2**20)
+        chk = cyclic.edit_bound_check(code, words)
         assert chk.holds, label
         assert min(chk.bound_min_degree, chk.bound_singleton) == bounds[label]
-        if label in exact_edit:
-            words = code.words(2**20)
-            full = metrics.min_edit_pairwise(
-                [cyclic.codon_symbols(w, 7) for w in words]
-            )
-            chk_exact = cyclic.edit_bound_check(code, words, scan=full)
-            assert chk_exact.min_edit_exact
-            assert chk_exact.min_edit == exact_edit[label]
-            assert chk_exact.holds
+        assert chk.min_edit == exact_edit[label]
+        assert chk.min_edit == full_codon_scan(code, words).minimum
 
 
-def test_edit_bound_check_reads_a_given_full_scan_as_its_own():
-    """Given the full codon scan of the words, the check holds exactly
-    when it does with its own early-exit scan, and where it fails it
-    reports the same minimum: a scan that never stops is the full scan.
-    The failing list is the code's words greedily picked more than the
-    bound apart."""
+def test_edit_bound_check_matches_the_full_scan_and_refuses_other_lists():
+    """The check holds exactly when the full codon scan meets the
+    bounds, on a code that meets them and, with the singleton bound
+    forced to 1 (rank n), on one that does not.  A listing that is not
+    the code's, such as its words greedily picked more than the bound
+    apart, is an internal error."""
     code = single_generator_code(7, 4, F1)
     words = code.words()
+    full = full_codon_scan(code, words).minimum
+    chk = cyclic.edit_bound_check(code, words)
+    assert (chk.min_edit, chk.holds) == (full, True)
+    forced = single_generator_code(7, 4, F1)
+    forced.rank = lambda: forced.n
+    chk = cyclic.edit_bound_check(forced, words)
+    assert (chk.min_edit, chk.bound_singleton, chk.holds) == (full, 1, False)
     codon = lambda w: cyclic.codon_symbols(w, 7)
     far = []
     for w in words:
         if all(metrics.edit_distance(codon(w), codon(v)) > 4 for v in far):
             far.append(w)
     assert len(far) > 2
-    for chosen, holds in ((words, True), (far, False)):
-        full = metrics.min_edit_pairwise([codon(w) for w in chosen])
-        own = cyclic.edit_bound_check(code, chosen)
-        read = cyclic.edit_bound_check(code, chosen, scan=full)
-        assert own.holds == read.holds == holds
-        assert (read.min_edit, read.min_edit_exact) == (full.minimum, True)
-        assert own.min_edit_exact == (not holds)
-        if not holds:
-            assert own == read
+    assert full_codon_scan(code, far).minimum > 4
+    with pytest.raises(RuntimeError):
+        cyclic.edit_bound_check(code, far)
+
+
+def test_min_edit_codon_is_the_full_codon_scan_minimum():
+    """On every odd tower code and even single-generator code of 2..512
+    words: 1 where a word has Hamming weight 1, else 2 where a basis row
+    moves under the shift, else n (constant words)."""
+    codes = [CyclicCodeR.from_tower(n, polys)
+             for n in (3, 5, 7, 9) for polys in iter_admissible_towers(n)]
+    codes += [single_generator_code(n, level, f)
+              for n in (2, 4, 6, 8, 10) for f in _divisors_of_xn_minus_1(n)
+              for level in range(6)]
+    codes = [code for code in codes if 2 <= code.size() <= 512]
+    assert len(codes) == 106 + 83
+    seen = Counter()
+    for code in codes:
+        words = code.words()
+        got = code.min_edit_codon(words)
+        assert got == full_codon_scan(code, words).minimum, code
+        seen[got] += 1
+    assert seen.keys() == {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+
+
+def test_min_edit_codon_needs_its_pair_enumerated_and_measured(monkeypatch):
+    """A listing of the right size without a word of the pair, a short
+    listing, and a unit-cost DP that disagrees are all refused, on a
+    code read off a shift pair, one off the weight-1 word u^5 and one of
+    constant words."""
+    shifted = single_generator_code(7, 4, F0 * F2)
+    unit = single_generator_code(7, 5, Gf2Poly(1))
+    constant = single_generator_code(7, 4, F1 * F2)
+    n, shift = 7, shifted.lanes.word_shift
+    row = next(r for r in shifted.basis() if shift(r, n) != r)
+    for code, want, missing in ((shifted, 2, shift(row, n)),
+                                (unit, 1, ring64.word_from_poly(1, n, 5))):
+        words = code.words()
+        assert code.min_edit_codon(words) == want
+        outsider = next(w for w in range(missing + 1, 1 << 6 * n)
+                        if not code.contains(w))
+        swapped = array("Q", sorted({*words, outsider} - {missing}))
+        assert len(swapped) == len(words)
+        with pytest.raises(RuntimeError, match="no enumerated pair"):
+            code.min_edit_codon(swapped)
+        with pytest.raises(RuntimeError, match="words listed"):
+            code.min_edit_codon(words[:-1])
+    assert constant.min_edit_codon(constant.words()) == 7
+    real = metrics._unit_edit_distance
+    monkeypatch.setattr(
+        metrics, "_unit_edit_distance", lambda x, y: real(x, y) + 1
+    )
+    for code, want in ((shifted, 2), (unit, 1), (constant, 7)):
+        with pytest.raises(RuntimeError, match=f"minimum {want} has no"):
+            code.min_edit_codon(code.words())
 
 
 def test_classify_dna_code_on_table3():
@@ -1069,7 +1124,7 @@ FROZEN_RECORDS = [
     (cyclic.DnaClassification, ("n", "D", "rc_closed", "fixed_points",
                                 "min_edit", "max_edit")),
     (cyclic.GrayImageReport, ("bit_length", "linear", "closed")),
-    (cyclic.EditBoundCheck, ("min_edit", "min_edit_exact", "bound_min_degree",
+    (cyclic.EditBoundCheck, ("min_edit", "bound_min_degree",
                              "bound_singleton")),
 ]
 

@@ -239,25 +239,6 @@ def test_min_pairwise_needs_two_items():
             metrics.min_edit_pairwise(items)
 
 
-def test_min_pairwise_early_exit_is_a_sound_upper_bound():
-    rng = random.Random(404)
-    for _ in range(50):
-        items = [
-            tuple(rng.choice("ABCD") for _ in range(4)) for _ in range(12)
-        ]
-        exact = metrics.min_pairwise(items, metrics.edit_distance)
-        bounded = metrics.min_pairwise(
-            items, metrics.edit_distance, upper_bound=3
-        )
-        assert bounded.minimum >= exact.minimum
-        assert exact.pairs == 12 * 11 // 2
-        if bounded.exhaustive:
-            assert bounded.minimum == exact.minimum
-        else:
-            # the scan stopped because it had already certified the bound
-            assert bounded.minimum <= 3
-
-
 def random_items(rng, alphabet, m, k):
     """k distinct items of length m (fewer if the alphabet runs out),
     as strings over a str alphabet and as tuples otherwise."""
@@ -270,11 +251,9 @@ def random_items(rng, alphabet, m, k):
     return list(items)
 
 
-def assert_packed_scan_matches_dp(items, upper_bounds, dp):
+def assert_packed_scan_matches_dp(items, dp):
     """dp: dp_edit_distance, cached across the calls of one test."""
-    for ub in upper_bounds:
-        want = metrics.min_pairwise(items, dp, ub)
-        assert metrics.min_edit_pairwise(items, upper_bound=ub) == want, ub
+    assert metrics.min_edit_pairwise(items) == metrics.min_pairwise(items, dp)
 
 
 @pytest.mark.parametrize("m", [1, 7, 8, 15, 16, 31, 32, 33, 63, 64])
@@ -282,21 +261,21 @@ def assert_packed_scan_matches_dp(items, upper_bounds, dp):
 def test_min_edit_pairwise_matches_the_dp_at_lane_edges(m, k):
     """Every field of the packed scan against min_pairwise over the
     per-cell DP, at the lane-width edges (m = 64 takes the per-pair
-    path), over strings, codon tuples and a one-symbol alphabet, with
-    a repeated item and with bounds that stop after the first row."""
+    path), over strings, codon tuples and a one-symbol alphabet, and
+    with a repeated item."""
     rng = random.Random(1000 * m + k)
     dp = functools.cache(dp_edit_distance)
     for alphabet in ("ACGT", CODON_ALPHABET):
         items = random_items(rng, alphabet, m, k)
-        assert_packed_scan_matches_dp(items, (None, 0, m // 2, m), dp)
-        assert_packed_scan_matches_dp(items + items[:1], (None, 0), dp)
-    assert_packed_scan_matches_dp(["A" * m] * k, (None, 0), dp)
+        assert_packed_scan_matches_dp(items, dp)
+        assert_packed_scan_matches_dp(items + items[:1], dp)
+    assert_packed_scan_matches_dp(["A" * m] * k, dp)
 
 
 def test_min_edit_pairwise_unequal_lengths_and_weighted_costs():
     """Unequal lengths (pair by pair) and integer cost tables (the
     packed min-plus scan): same result as min_pairwise over
-    edit_distance, with and without a bound."""
+    edit_distance."""
     rng = random.Random(0x5CA7)
     costs = random_cost_table(rng, "ACGT")
     for _ in range(20):
@@ -304,36 +283,13 @@ def test_min_edit_pairwise_unequal_lengths_and_weighted_costs():
             "".join(rng.choice("ACGT") for _ in range(rng.randrange(9)))
             for _ in range(rng.randrange(2, 14))
         ]
-        assert_packed_scan_matches_dp(items, (None, 0, 2), dp_edit_distance)
+        assert_packed_scan_matches_dp(items, dp_edit_distance)
         fixed = [x.ljust(8, "A") for x in items]
-        for table, ub in ((costs, None), (costs, 3.0), (None, 2)):
+        for table in (costs, None):
             want = metrics.min_pairwise(
-                fixed, lambda a, b: metrics.edit_distance(a, b, table), ub
+                fixed, lambda a, b: metrics.edit_distance(a, b, table)
             )
-            assert metrics.min_edit_pairwise(fixed, table, ub) == want
-
-
-@pytest.mark.parametrize("alphabet, m", [(CODON_ALPHABET, 7), ("ACGT", 21)])
-def test_min_edit_pairwise_stops_after_the_row_that_meets_the_bound(
-    alphabet, m
-):
-    """About 60 distinct items with one repeated pair: at bound 0 the
-    scan stops after the repeat's row, and stopping at row k - 2 still
-    scans every pair."""
-    rng = random.Random(m)
-    base = random_items(rng, alphabet, m, 60)
-    k = len(base)
-    assert k == 60
-    dp = functools.cache(dp_edit_distance)
-    assert_packed_scan_matches_dp(base, (None, 1, 2, 3), dp)
-    for i, j, rows in ((0, 30, 1), (29, 30, 30), (k - 2, k - 1, k - 1)):
-        items = list(base)
-        items[j] = items[i]
-        got = metrics.min_edit_pairwise(items, upper_bound=0)
-        assert (got.minimum, got.pair, got.count_at_minimum) == (0, (i, j), 1)
-        assert got.pairs == sum(k - 1 - r for r in range(rows))
-        assert got.exhaustive == (rows == k - 1)
-        assert_packed_scan_matches_dp(items, (None, 0), dp)
+            assert metrics.min_edit_pairwise(fixed, table) == want
 
 
 def dyadic_cost_table(rng, symbols, top):
@@ -350,14 +306,13 @@ def dyadic_cost_table(rng, symbols, top):
     return EditCostTable(entries)
 
 
-def assert_weighted_scan_matches(items, costs, upper_bounds):
-    for ub in upper_bounds:
-        want = metrics.min_pairwise(
-            items, lambda a, b: metrics.edit_distance(a, b, costs), ub
-        )
-        got = metrics.min_edit_pairwise(items, costs, ub)
-        assert got == want, ub
-        assert type(got.minimum) is float and type(got.maximum) is float
+def assert_weighted_scan_matches(items, costs):
+    want = metrics.min_pairwise(
+        items, lambda a, b: metrics.edit_distance(a, b, costs)
+    )
+    got = metrics.min_edit_pairwise(items, costs)
+    assert got == want
+    assert type(got.minimum) is float and type(got.maximum) is float
 
 
 def lane_limit_cost(width, m):
@@ -399,8 +354,7 @@ def test_weighted_packed_scan_at_each_lane_width_limit(width, next_width):
     """Every cost c but the diagonal's zeros, with B = (2m + 1)c the
     largest below 2^(W-1), so that distances run to about half of each
     W-bit lane; at c + 1 the scan takes the next width, or the per-pair
-    scan past 64 bits.  Strings and codon tuples, with bounds that stop
-    after the first row or never."""
+    scan past 64 bits.  Strings and codon tuples."""
     rng = random.Random(width)
     m = 7
     c = lane_limit_cost(width, m)
@@ -410,11 +364,7 @@ def test_weighted_packed_scan_at_each_lane_width_limit(width, next_width):
             for k in (2, 3, 12):
                 items = random_items(rng, alphabet, m, k)
                 assert packed_width(items, costs) == want
-                assert_weighted_scan_matches(
-                    items, costs, (None, 0.0, float(cost * m))
-                )
-                got = metrics.min_edit_pairwise(items, costs, cost * m)
-                assert got.pairs == k - 1 and got.exhaustive == (k == 2)
+                assert_weighted_scan_matches(items, costs)
 
 
 def test_weighted_packed_scan_matches_the_dp_on_random_tables():
@@ -427,99 +377,91 @@ def test_weighted_packed_scan_matches_the_dp_on_random_tables():
         if len(items) < 2:
             continue
         assert packed_width(items, costs) is not None
-        assert_weighted_scan_matches(items, costs, (None, 0.5, 2.0))
+        assert_weighted_scan_matches(items, costs)
 
 
-@pytest.mark.parametrize("alphabet, m", [(CODON_ALPHABET, 7), ("ACGT", 21)])
-def test_weighted_packed_scan_stops_after_the_repeated_pair(alphabet, m):
-    """With a zero diagonal a repeated item is at distance 0.0, and a
-    bound of 0 stops after the row of its first copy."""
-    rng = random.Random(m)
-    entries = {(a, a): 0.0 for a in alphabet}
-    entries.update({(a, "-"): 0.75 for a in alphabet})
-    entries[alphabet[0], alphabet[1]] = 0.25
-    costs = EditCostTable(entries)
-    base = random_items(rng, alphabet, m, 40)
-    k = len(base)
-    for i, j in ((0, 20), (19, 20), (k - 2, k - 1)):
-        items = list(base)
-        items[j] = items[i]
-        got = metrics.min_edit_pairwise(items, costs, upper_bound=0)
-        assert (got.minimum, got.pair, got.count_at_minimum) == (0.0, (i, j), 1)
-        assert got.pairs == sum(k - 1 - r for r in range(i + 1))
-        assert_weighted_scan_matches(items, costs, (None, 0, 1.5))
-
-
-# items whose unbounded scan spans at least three blocks of rows
+# items whose scan spans at least three blocks of rows
 BLOCK_K = 2 * math.isqrt(metrics._BLOCK) + 2
+
+
+@pytest.mark.parametrize("alphabet, m, k, weighted", [
+    (CODON_ALPHABET, 7, 60, False), ("ACGT", 21, 60, False),
+    (CODON_ALPHABET, 7, 40, True), ("ACGT", 21, 40, True),
+    (CODON_ALPHABET, 7, BLOCK_K, False), (CODON_ALPHABET, 33, BLOCK_K, False),
+])
+def test_full_scan_finds_a_repeated_item_in_any_row(alphabet, m, k, weighted):
+    """k distinct items but for one repeat, at unit cost or under a
+    table with a zero diagonal, so the repeat is the one pair at
+    distance 0: wherever its first copy sits (row 0, a middle row, row
+    k - 2, and the first, a middle and the last row of the second block
+    when there is one) every pair is scanned, and every field matches
+    min_pairwise over the DP (over the per-pair distance, itself checked
+    against the DP, past m = 8 or under the table)."""
+    rng = random.Random(1000 * m + k)
+    base = random_items(rng, alphabet, m, k)
+    assert len(base) == k
+    costs = None
+    if weighted:
+        entries = {(a, a): 0.0 for a in alphabet}
+        entries.update({(a, "-"): 0.75 for a in alphabet})
+        entries[alphabet[0], alphabet[1]] = 0.25
+        costs = EditCostTable(entries)
+    dist = functools.cache(
+        dp_edit_distance if m <= 8 and not weighted
+        else functools.partial(metrics.edit_distance, costs=costs)
+    )
+    rows = [0, k // 2 - 1, k - 2]
+    blocks = list(metrics._blocks(k))
+    if len(blocks) > 1:
+        second = blocks[1][0]
+        rows += [second[0], second[len(second) // 2], second[-1]]
+    for i in rows:
+        items = list(base)
+        j = (i + k + 1) // 2
+        items[j] = items[i]
+        got = metrics.min_edit_pairwise(items, costs)
+        assert (got.minimum, got.pair, got.count_at_minimum) == (0, (i, j), 1)
+        assert (got.pairs, got.exhaustive) == (k * (k - 1) // 2, True)
+        assert got == metrics.min_pairwise(items, dist)
+        assert type(got.minimum) is (float if weighted else int)
 
 
 def test_block_layout_covers_every_row_once():
     """The blocks hold rows 0..k-2 in order, each row's k-1-i lanes, at
-    most _BLOCK lanes a block unless one row is longer; under a bound
-    row 0 is a block of its own."""
+    most _BLOCK lanes a block unless one row is longer."""
     for k in (2, 3, 12, BLOCK_K, metrics._BLOCK + 3):
-        for bounded in (False, True):
-            blocks = list(metrics._blocks(k, bounded))
-            assert [i for rows, _ in blocks for i in rows] == [*range(k - 1)]
-            for rows, bounds in blocks:
-                assert bounds == [0, *accumulate(k - 1 - i for i in rows)]
-                assert bounds[-1] <= metrics._BLOCK or len(rows) == 1
-            if bounded:
-                assert blocks[0][0] == range(1)
-    assert len(list(metrics._blocks(BLOCK_K, False))) >= 3
+        blocks = list(metrics._blocks(k))
+        assert [i for rows, _ in blocks for i in rows] == [*range(k - 1)]
+        for rows, bounds in blocks:
+            assert bounds == [0, *accumulate(k - 1 - i for i in rows)]
+            assert bounds[-1] <= metrics._BLOCK or len(rows) == 1
+    assert len(list(metrics._blocks(BLOCK_K))) >= 3
 
 
 @pytest.mark.parametrize("m", [7, 8, 33, 63])
 def test_unit_block_scan_matches_the_per_pair_scan(m):
-    """BLOCK_K items at lane widths 8, 16, 64 and 64, unbounded and at
-    bounds that stop in the first block or never: every field against
-    min_pairwise over the DP (over the per-pair bit-vector distance,
-    itself checked against the DP, past m = 8), with a pair repeated
-    across the first block boundary."""
+    """BLOCK_K items at lane widths 8, 16, 64 and 64: every field
+    against min_pairwise over the DP (over the per-pair bit-vector
+    distance, itself checked against the DP, past m = 8), with a pair
+    repeated across the first block boundary."""
     rng = random.Random(m)
     items = random_items(rng, "ACGT", m, BLOCK_K)
     assert len(items) == BLOCK_K
     dp = functools.cache(
         dp_edit_distance if m <= 8 else metrics.edit_distance
     )
-    assert_packed_scan_matches_dp(items, (None, 0, m // 2), dp)
-    (rows, _), (later, _) = list(metrics._blocks(BLOCK_K, False))[:2]
+    assert_packed_scan_matches_dp(items, dp)
+    (rows, _), (later, _) = list(metrics._blocks(BLOCK_K))[:2]
     items[later[0] + 1] = items[rows[-1]]
-    assert_packed_scan_matches_dp(items, (None,), dp)
-
-
-@pytest.mark.parametrize("m", [7, 33])
-def test_block_scan_stops_after_the_repeated_pair_in_any_row_of_a_block(m):
-    """At bound 0 the scan stops after the row of a repeated pair: the
-    first, a middle and the last row of a block past the first, and row
-    k - 2, which scans every pair."""
-    rng = random.Random(0xB10C + m)
-    base = random_items(rng, CODON_ALPHABET, m, BLOCK_K)
-    k = len(base)
-    assert k == BLOCK_K
-    dp = functools.cache(
-        dp_edit_distance if m <= 8 else metrics.edit_distance
-    )
-    rows = next(rows for rows, _ in list(metrics._blocks(k, True))[1:]
-                if len(rows) >= 3)
-    for i in (rows[0], rows[len(rows) // 2], rows[-1], k - 2):
-        items = list(base)
-        j = (i + k + 1) // 2
-        items[j] = items[i]
-        got = metrics.min_edit_pairwise(items, upper_bound=0)
-        assert (got.minimum, got.pair, got.count_at_minimum) == (0, (i, j), 1)
-        assert got.pairs == sum(k - 1 - r for r in range(i + 1))
-        assert got.exhaustive == (i == k - 2)
-        assert_packed_scan_matches_dp(items, (None, 0), dp)
+    assert_packed_scan_matches_dp(items, dp)
 
 
 def test_weighted_block_scan_reading_one_symbol_or_several_per_step():
     """BLOCK_K items whose first three symbols are one symbol, so that
     at those steps every row of a block reads it, and at the others
-    several: random dyadic tables, unbounded and with bounds, one with
-    a zero diagonal and a repeated pair in a middle row of a later
-    block, so that bound 0 stops there."""
+    several: random dyadic tables, and one with a zero diagonal and a
+    repeated pair in a middle row of a later block, the one pair at
+    distance 0."""
     rng = random.Random(0x3B10C)
     m = 7
     tail = random_items(rng, "ACGT", m - 3, BLOCK_K)
@@ -527,14 +469,14 @@ def test_weighted_block_scan_reading_one_symbol_or_several_per_step():
     assert len(items) == BLOCK_K
     for top in (0.5, 1.5):
         costs = dyadic_cost_table(rng, "ACGT", top)
-        assert_weighted_scan_matches(items, costs, (None, 0.5, 2.0))
-    rows = list(metrics._blocks(BLOCK_K, True))[3][0]
+        assert_weighted_scan_matches(items, costs)
+    rows = list(metrics._blocks(BLOCK_K))[1][0]
     i = rows[len(rows) // 2]
     items[i + 5] = items[i]
     zero = EditCostTable({("A", "C"): 0.25, ("G", "-"): 0.75})
-    assert_weighted_scan_matches(items, zero, (None, 0, 0.25))
-    got = metrics.min_edit_pairwise(items, zero, 0)
-    assert (got.minimum, got.pair, got.exhaustive) == (0.0, (i, i + 5), False)
+    assert_weighted_scan_matches(items, zero)
+    got = metrics.min_edit_pairwise(items, zero)
+    assert (got.minimum, got.pair, got.count_at_minimum) == (0.0, (i, i + 5), 1)
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64])
@@ -547,7 +489,7 @@ def test_weighted_block_scan_at_each_lane_width(width):
     items = random_items(rng, CODON_ALPHABET, m, BLOCK_K)
     costs = uniform_costs(CODON_ALPHABET, cost)
     assert packed_width(items, costs) == width
-    assert_weighted_scan_matches(items, costs, (None, 0.0, float(cost * 2)))
+    assert_weighted_scan_matches(items, costs)
 
 
 def test_weighted_scan_goes_pair_by_pair_past_64_bit_lanes():
@@ -563,12 +505,11 @@ def test_weighted_scan_goes_pair_by_pair_past_64_bit_lanes():
     for costs, scanned, width in ((tenth, items, 16), (wide, items, None),
                                   (tenth, ragged, None)):
         assert packed_width(scanned, costs) == width
-        assert_weighted_scan_matches(scanned, costs, (None, 0.1, 1.0))
-        for ub in (None, 1.0):
-            want = metrics.min_pairwise(
-                scanned, lambda a, b: dp_edit_distance(a, b, costs), ub
-            )
-            assert metrics.min_edit_pairwise(scanned, costs, ub) == want
+        assert_weighted_scan_matches(scanned, costs)
+        want = metrics.min_pairwise(
+            scanned, lambda a, b: dp_edit_distance(a, b, costs)
+        )
+        assert metrics.min_edit_pairwise(scanned, costs) == want
 
 
 def test_cost_ratio_is_the_exact_decimal_in_lowest_terms():
@@ -590,7 +531,7 @@ def test_cost_ratio_is_the_exact_decimal_in_lowest_terms():
     # three substitutions, summed exactly and rounded once
     three = metrics.edit_distance("AAA", "CCC", big)
     assert three == float(3 * (2 ** 53 + 1)) != 3 * float(2 ** 53 + 1)
-    assert_weighted_scan_matches(items, big, (None,))
+    assert_weighted_scan_matches(items, big)
 
 
 def test_scaled_costs_parse_each_distinct_cost_once():
